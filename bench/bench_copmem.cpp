@@ -9,11 +9,11 @@
 //                                 SA-IS suffix construction + sparse-ESA
 //                                 matching — the index build whose cost
 //                                 motivated ISSUE 8) vs the copmem
-//                                 fast-index path (Engine::run_fast_index:
-//                                 one pass over every k1-th reference k-mer,
-//                                 then every k2-th query position verified
-//                                 with word-parallel LCE). Carries the 3x
-//                                 floor.
+//                                 fast-index path (store::open_host_finder
+//                                 "copmem", then find: one pass over every
+//                                 k1-th reference k-mer, then every k2-th
+//                                 query position verified with
+//                                 word-parallel LCE). Carries the 3x floor.
 //   "<dataset> L<minlen> native"  informational: the native tiled pipeline
 //                                 (Engine::run on Backend::kNative, per-row
 //                                 Algorithm-1 k-mer tables) vs the same
@@ -38,6 +38,7 @@
 #include "core/pipeline.h"
 #include "mem/essamem.h"
 #include "seq/synthetic.h"
+#include "store/loaded_index.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -119,7 +120,11 @@ int main(int argc, char** argv) {
       native_mems = engine.run(data.reference, data.query).mems;
     });
     const double hot_ns = time_best_ns(reps, [&] {
-      hot_mems = engine.run_fast_index(data.reference, data.query).mems;
+      mem::FinderOptions opt;
+      opt.min_length = cfg.min_length;
+      hot_mems = store::open_host_finder("copmem", data.reference, opt,
+                                         cfg.seed_len)
+                     ->find(data.query);
     });
     if (hot_mems != sais_mems || hot_mems != native_mems) {
       identical = false;

@@ -3,8 +3,8 @@
 //
 //   ./gpumem_cli --ref ref.fa --query query.fa [--min-len 50] [--seed-len 13]
 //                [--backend native|simt] [--both-strands] [--mum]
-//                [--finder gpumem|mummer|sparsemem|essamem|slamem|copmem]
-//                [--lazy-lcp] [--load-index ref.gmidx]
+//                [--finder gpumem|mummer|sparsemem|essamem|slamem|
+//                          slamem-lazy|copmem] [--load-index ref.gmidx]
 //                [--trace-out trace.json] [--metrics-out metrics.json]
 //                [--stats] [--threads N]
 //   ./gpumem_cli --demo          # runs on generated data, no files needed
@@ -23,9 +23,7 @@
 #include <iostream>
 
 #include "core/finders.h"
-#include "mem/copmem.h"
 #include "mem/registry.h"
-#include "mem/slamem.h"
 #include "mem/report.h"
 #include "mem/uniqueness.h"
 #include "obs/registry.h"
@@ -92,80 +90,6 @@ class ArtifactFinder final : public gm::mem::MemFinder {
   std::unique_ptr<gm::simt::Device> dev_;
   std::unique_ptr<gm::serve::DeviceRowIndexCache> cache_;
   mutable double last_seconds_ = 0.0;
-};
-
-/// copMEM finder over a loaded artifact: adopts the kCopmemIndex section
-/// when the artifact carries one (no build at all), otherwise builds the
-/// sampled index over the artifact's reference at the header's seed length.
-class CopmemArtifactFinder final : public gm::mem::MemFinder {
- public:
-  explicit CopmemArtifactFinder(
-      std::shared_ptr<const gm::store::LoadedIndex> index)
-      : index_(std::move(index)) {}
-
-  std::string name() const override { return "copmem-artifact"; }
-
-  void build_index(const gm::seq::Sequence& ref,
-                   const gm::mem::FinderOptions& opt) override {
-    (void)ref;  // the artifact embeds the reference
-    if (index_->has(gm::store::SectionId::kCopmemIndex)) {
-      inner_.adopt_index(index_->reference(), opt, index_->copmem_index());
-    } else {
-      inner_.set_seed_len(index_->header().seed_len);
-      inner_.build_index(index_->reference(), opt);
-    }
-  }
-
-  std::vector<gm::mem::Mem> find(
-      const gm::seq::Sequence& query) const override {
-    return inner_.find(query);
-  }
-
-  double last_find_modeled_seconds() const override {
-    return inner_.last_find_modeled_seconds();
-  }
-  std::size_t index_bytes() const override { return inner_.index_bytes(); }
-
- private:
-  std::shared_ptr<const gm::store::LoadedIndex> index_;
-  gm::mem::CopMemFinder inner_;
-};
-
-/// slaMEM finder over a loaded artifact: adopts the kFmIndex section when
-/// the artifact carries one (no suffix-structure build at all), otherwise
-/// builds the FM index over the artifact's reference. Pairs with
-/// --lazy-lcp for the long-MEM fast path on a persisted index.
-class SlamemArtifactFinder final : public gm::mem::MemFinder {
- public:
-  SlamemArtifactFinder(std::shared_ptr<const gm::store::LoadedIndex> index,
-                       bool force_lazy)
-      : index_(std::move(index)), inner_(force_lazy) {}
-
-  std::string name() const override { return inner_.name() + "-artifact"; }
-
-  void build_index(const gm::seq::Sequence& ref,
-                   const gm::mem::FinderOptions& opt) override {
-    (void)ref;  // the artifact embeds the reference
-    if (index_->has(gm::store::SectionId::kFmIndex)) {
-      inner_.adopt_index(index_->reference(), opt, index_->fm_index());
-    } else {
-      inner_.build_index(index_->reference(), opt);
-    }
-  }
-
-  std::vector<gm::mem::Mem> find(
-      const gm::seq::Sequence& query) const override {
-    return inner_.find(query);
-  }
-
-  double last_find_modeled_seconds() const override {
-    return inner_.last_find_modeled_seconds();
-  }
-  std::size_t index_bytes() const override { return inner_.index_bytes(); }
-
- private:
-  std::shared_ptr<const gm::store::LoadedIndex> index_;
-  gm::mem::SlaMemFinder inner_;
 };
 
 int run_index_build(gm::util::Cli& cli) {
@@ -271,10 +195,6 @@ int main(int argc, char** argv) {
                "tool: gpumem (default), mummer, sparsemem, essamem, slamem, "
                "slamem-lazy (long-MEM sweep), copmem (double-sampling fast "
                "index)");
-  cli.describe("lazy-lcp",
-               "slamem finder: lazy LCP evaluation (long-MEM mode) — "
-               "bit-identical output, faster at high --min-len; see "
-               "docs/PERFORMANCE.md");
   cli.describe("both-strands", "also match the reverse-complement query");
   cli.describe("mum", "keep only matches unique in both sequences");
   cli.describe("out", "write matches to this file instead of stdout");
@@ -422,19 +342,28 @@ int main(int argc, char** argv) {
     }
 
     const std::string finder_name = cli.get("finder", "gpumem");
+    gm::mem::FinderOptions opt;
+    opt.min_length = min_len;
+    opt.sparseness =
+        (finder_name == "sparsemem" || finder_name == "essamem") ? 4 : 1;
+    const bool host_finder = finder_name == "copmem" ||
+                             finder_name == "slamem" ||
+                             finder_name == "slamem-lazy";
+    if (loaded != nullptr && !host_finder && finder_name != "gpumem") {
+      std::cerr << "--load-index serves the gpumem, copmem, and slamem "
+                   "finders only\n";
+      return 2;
+    }
+    gm::util::Timer index_timer;
     std::unique_ptr<gm::mem::MemFinder> finder;
     gm::core::GpumemFinder* gpumem = nullptr;
-    if (loaded != nullptr) {
-      if (finder_name == "copmem") {
-        finder = std::make_unique<CopmemArtifactFinder>(loaded);
-      } else if (finder_name == "slamem" || finder_name == "slamem-lazy") {
-        finder = std::make_unique<SlamemArtifactFinder>(
-            loaded, finder_name == "slamem-lazy");
-      } else if (finder_name != "gpumem") {
-        std::cerr << "--load-index serves the gpumem, copmem, and slamem "
-                     "finders only\n";
-        return 2;
-      } else {
+    if (host_finder) {
+      // Adopts the artifact's copMEM / FM-index section when it has one.
+      finder = gm::store::open_host_finder(
+          finder_name, ref, opt, loaded ? loaded->header().seed_len : 0,
+          loaded.get());
+    } else {
+      if (loaded != nullptr) {
         gm::core::Config cfg;
         cfg.min_length = min_len;
         cfg.seed_len = seed_len;
@@ -447,30 +376,25 @@ int main(int argc, char** argv) {
         cfg.overlap_streams = static_cast<std::uint32_t>(
             cli.get_int("overlap-streams", cfg.overlap_streams));
         finder = std::make_unique<ArtifactFinder>(loaded, std::move(cfg));
+      } else if (finder_name == "gpumem") {
+        auto g = std::make_unique<gm::core::GpumemFinder>(
+            cli.get("backend", "native") == "simt"
+                ? gm::core::Backend::kSimt
+                : gm::core::Backend::kNative);
+        g->mutable_config().seed_len = seed_len;
+        g->mutable_config().step =
+            static_cast<std::uint32_t>(cli.get_int("step", 0));
+        g->mutable_config().overlap = cli.get_bool("overlap", false);
+        g->mutable_config().overlap_streams =
+            static_cast<std::uint32_t>(cli.get_int(
+                "overlap-streams", g->mutable_config().overlap_streams));
+        gpumem = g.get();
+        finder = std::move(g);
+      } else {
+        finder = gm::mem::create_finder(finder_name);
       }
-    } else if (finder_name == "gpumem") {
-      auto g = std::make_unique<gm::core::GpumemFinder>(
-          cli.get("backend", "native") == "simt" ? gm::core::Backend::kSimt
-                                                 : gm::core::Backend::kNative);
-      g->mutable_config().seed_len = seed_len;
-      g->mutable_config().step =
-          static_cast<std::uint32_t>(cli.get_int("step", 0));
-      g->mutable_config().overlap = cli.get_bool("overlap", false);
-      g->mutable_config().overlap_streams = static_cast<std::uint32_t>(
-          cli.get_int("overlap-streams", g->mutable_config().overlap_streams));
-      gpumem = g.get();
-      finder = std::move(g);
-    } else {
-      finder = gm::mem::create_finder(finder_name);
+      finder->build_index(ref, opt);
     }
-
-    gm::mem::FinderOptions opt;
-    opt.min_length = min_len;
-    opt.sparseness =
-        (finder_name == "sparsemem" || finder_name == "essamem") ? 4 : 1;
-    opt.lazy_lcp = cli.get_bool("lazy-lcp", false);
-    gm::util::Timer index_timer;
-    finder->build_index(ref, opt);
     std::cerr << "[" << finder->name() << "] index built in "
               << index_timer.seconds() << " s\n";
 

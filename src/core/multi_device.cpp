@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/host_stitch.h"
-#include "mem/clip.h"
 #include "obs/registry.h"
 #include "util/bits.h"
 #include "util/timer.h"
@@ -58,41 +56,15 @@ MultiDeviceResult run_multi_device(const Config& cfg, std::uint32_t devices,
     stats.kernels_launched = dev.ledger().kernels_launched();
     stats.device_peak_bytes = dev.peak_bytes();
     result.per_device.push_back(stats);
-
-    // Devices run concurrently: the fleet finishes with its slowest member.
-    result.combined.index_seconds =
-        std::max(result.combined.index_seconds, stats.index_seconds);
-    result.combined.match_seconds =
-        std::max(result.combined.match_seconds, stats.match_seconds);
-    result.combined.modeled_makespan_seconds =
-        std::max(result.combined.modeled_makespan_seconds,
-                 stats.modeled_makespan_seconds);
-    result.combined.tile_rows += stats.tile_rows;
-    result.combined.inblock_mems += stats.inblock_mems;
-    result.combined.intile_mems += stats.intile_mems;
-    result.combined.overflow_rounds += stats.overflow_rounds;
-    result.combined.kernels_launched += stats.kernels_launched;
-    result.combined.device_peak_bytes =
-        std::max(result.combined.device_peak_bytes, stats.device_peak_bytes);
+    fold_device_stats(result.combined, stats);
   }
   result.combined.tile_cols = static_cast<std::uint32_t>(
       util::ceil_div<std::size_t>(query.size(), g.tile_len));
 
-  // Host merge over the union of all devices' out-tile pieces; matches
-  // crossing device partitions stitch here exactly like cross-row matches.
-  {
-    obs::Span stitch_span("stitch/host-merge", "stage");
-    util::Timer host_merge;
-    result.combined.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg.min_length);
-    mem::sort_unique(reported);
-    result.combined.host_stitch_seconds = host_merge.seconds();
-    result.combined.match_seconds += result.combined.host_stitch_seconds;
-    stitch_span.attr("outtile_pieces", result.combined.outtile_pieces);
-  }
+  // Matches crossing device partitions stitch in the host merge exactly
+  // like cross-row matches.
+  merge_out_tile(ref, query, cfg.min_length, std::move(outtile_pieces),
+                 reported, result.combined);
   result.mems = std::move(reported);
   result.combined.mem_count = result.mems.size();
   result.combined.wall_seconds = wall.seconds();

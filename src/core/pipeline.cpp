@@ -12,7 +12,6 @@
 #include "core/host_stitch.h"
 #include "core/index_kernels.h"
 #include "mem/clip.h"
-#include "mem/copmem.h"
 #include "core/match_kernel.h"
 #include "core/tile_kernel.h"
 #include "index/kmer_index.h"
@@ -180,20 +179,6 @@ TileResult process_tile(simt::Device& dev, const Config& cfg,
   return outs;
 }
 
-/// Records the host out-tile merge as a wall-clock stage span whose
-/// duration is exactly RunStats::host_stitch_seconds, so the "stage" spans
-/// of a traced run decompose index_seconds + match_seconds precisely.
-void record_stitch_span(double start_us, const RunStats& stats) {
-  obs::SpanEvent ev;
-  ev.name = "stitch/host-merge";
-  ev.category = "stage";
-  ev.clock = obs::Clock::kWall;
-  ev.start_us = start_us;
-  ev.duration_us = stats.host_stitch_seconds * 1e6;
-  ev.attrs.push_back({"outtile_pieces", stats.outtile_pieces});
-  obs::Registry::global().trace().record(std::move(ev));
-}
-
 }  // namespace
 
 void publish_run_stats(const RunStats& stats) {
@@ -249,6 +234,48 @@ void publish_run_stats(const RunStats& stats) {
   phase_ns("total", stats.wall_seconds, "host wall ns per run end to end");
 }
 
+void merge_out_tile(const seq::Sequence& ref, const seq::Sequence& query,
+                    std::uint32_t min_len, std::vector<mem::Mem> pieces,
+                    std::vector<mem::Mem>& reported, RunStats& stats) {
+  const double start_us =
+      obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
+  util::Timer timer;
+  stats.outtile_pieces = pieces.size();
+  const std::vector<mem::Mem> finished =
+      finalize_out_tile(ref, query, std::move(pieces), min_len);
+  reported.insert(reported.end(), finished.begin(), finished.end());
+  mem::clip_invalid_bases(ref, query, reported, min_len);
+  mem::sort_unique(reported);
+  stats.host_stitch_seconds = timer.seconds();
+  stats.match_seconds += stats.host_stitch_seconds;
+  if (!obs::enabled()) return;
+  // Recorded by hand so its duration is exactly host_stitch_seconds: the
+  // "stage" spans of a traced run then decompose index + match precisely.
+  obs::SpanEvent ev;
+  ev.name = "stitch/host-merge";
+  ev.category = "stage";
+  ev.clock = obs::Clock::kWall;
+  ev.track = obs::current_trace().lane;
+  ev.start_us = start_us;
+  ev.duration_us = stats.host_stitch_seconds * 1e6;
+  ev.attrs.push_back({"outtile_pieces", stats.outtile_pieces});
+  obs::Registry::global().trace().record(std::move(ev));
+}
+
+void fold_device_stats(RunStats& pool, const RunStats& device) {
+  pool.index_seconds = std::max(pool.index_seconds, device.index_seconds);
+  pool.match_seconds = std::max(pool.match_seconds, device.match_seconds);
+  pool.modeled_makespan_seconds = std::max(pool.modeled_makespan_seconds,
+                                           device.modeled_makespan_seconds);
+  pool.device_peak_bytes =
+      std::max(pool.device_peak_bytes, device.device_peak_bytes);
+  pool.tile_rows += device.tile_rows;
+  pool.inblock_mems += device.inblock_mems;
+  pool.intile_mems += device.intile_mems;
+  pool.overflow_rounds += device.overflow_rounds;
+  pool.kernels_launched += device.kernels_launched;
+}
+
 Result Engine::run(const seq::Sequence& ref, const seq::Sequence& query) const {
   return cfg_.backend == Backend::kSimt ? run_simt(ref, query)
                                         : run_native(ref, query);
@@ -277,26 +304,6 @@ Result Engine::run_native_prebuilt(const seq::Sequence& ref,
                                    const seq::Sequence& query,
                                    const NativeIndex& prebuilt) const {
   return run_native(ref, query, &prebuilt);
-}
-
-Result Engine::run_fast_index(const seq::Sequence& ref,
-                              const seq::Sequence& query) const {
-  (void)cfg_.validated();  // Eq. 1 implies seed_len <= min_length
-  util::Timer wall;
-  mem::CopMemFinder finder;
-  finder.set_seed_len(cfg_.seed_len);
-  mem::FinderOptions opt;
-  opt.min_length = cfg_.min_length;
-  opt.threads = cfg_.threads;
-  finder.build_index(ref, opt);
-  Result out;
-  out.mems = finder.find(query);
-  out.stats.index_seconds = finder.build_seconds();
-  out.stats.match_seconds = finder.last_find_modeled_seconds();
-  out.stats.mem_count = out.mems.size();
-  out.stats.wall_seconds = wall.seconds();
-  publish_run_stats(out.stats);
-  return out;
 }
 
 void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
@@ -707,21 +714,8 @@ Result Engine::run_simt_on(simt::Device& dev, const seq::Sequence& ref,
   run_simt_rows(dev, ref, query, 0, result.stats.tile_rows, reported,
                 outtile_pieces, result.stats, index_source);
 
-  // ---- final host merge of out-tile triplets (Section III-C2) -------------
-  {
-    const double stitch_start_us =
-        obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg_.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg_.min_length);
-    mem::sort_unique(reported);
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-    if (obs::enabled()) record_stitch_span(stitch_start_us, result.stats);
-  }
+  merge_out_tile(ref, query, cfg_.min_length, std::move(outtile_pieces),
+                 reported, result.stats);
 
   result.mems = std::move(reported);
   result.stats.mem_count = result.mems.size();
@@ -835,20 +829,8 @@ Result Engine::run_native(const seq::Sequence& ref,
     result.stats.match_seconds += match_timer.seconds();
   }
 
-  {
-    const double stitch_start_us =
-        obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg_.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg_.min_length);
-    mem::sort_unique(reported);
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-    if (obs::enabled()) record_stitch_span(stitch_start_us, result.stats);
-  }
+  merge_out_tile(ref, query, cfg_.min_length, std::move(outtile_pieces),
+                 reported, result.stats);
 
   result.mems = std::move(reported);
   result.stats.mem_count = result.mems.size();

@@ -85,6 +85,20 @@ struct RunStats {
 /// multi-device view).
 void publish_run_stats(const RunStats& stats);
 
+/// The final host stage (paper Section III-C2): finalizes the out-tile
+/// `pieces` against the full sequences, appends them to `reported`, then
+/// clips invalid bases and sorts/dedupes `reported`. Times the stage into
+/// stats.host_stitch_seconds (also added to match_seconds), counts
+/// stats.outtile_pieces, and records a "stitch/host-merge" wall span.
+void merge_out_tile(const seq::Sequence& ref, const seq::Sequence& query,
+                    std::uint32_t min_len, std::vector<mem::Mem> pieces,
+                    std::vector<mem::Mem>& reported, RunStats& stats);
+
+/// Folds one pool member's stats into the pool's. Members run
+/// concurrently, so modeled seconds and peak bytes take the slowest or
+/// largest member; tile rows, MEM counters and launches add up.
+void fold_device_stats(RunStats& pool, const RunStats& device);
+
 struct Result {
   std::vector<mem::Mem> mems;  ///< canonical order, no duplicates
   RunStats stats;
@@ -129,14 +143,6 @@ class Engine {
 
   /// Builds the native row indexes once (wall-timed).
   NativeIndex build_native_index(const seq::Sequence& ref) const;
-
-  /// Fast-index mode (copMEM, mem/copmem.h): double-sampled k-mer index +
-  /// word-parallel LCE verification instead of the tiled Algorithm 1 /
-  /// SA-class builds. Same MEM output as run() for the same L; cfg.seed_len
-  /// is the sampling seed length K. RunStats reports the sampled-index
-  /// build as index_seconds and the scan/verify as match_seconds.
-  Result run_fast_index(const seq::Sequence& ref,
-                        const seq::Sequence& query) const;
 
   /// run() with the native backend, reusing `prebuilt` (which must have
   /// been produced by build_native_index with this exact config and ref).

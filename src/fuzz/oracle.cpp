@@ -11,6 +11,8 @@
 //   scheduler shuffle seed derived from the case seed)
 //   simt-cached-cold / -warm (run_simt_cached over a DeviceRowIndexCache)
 //   multi-device (run_multi_device)   serve (MemService, paused batch)
+//   serve-routes (MemService with both host routes — copMEM and the lazy
+//   long-MEM finder — queried at a seed-derived min_length >= L)
 //   store-roundtrip (build_artifact → MappedArtifact::from_buffer →
 //   LoadedIndex → run_native_prebuilt; bit-identity through serialization)
 //
@@ -345,6 +347,39 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
     }
   } catch (const std::exception& e) {
     out.divergences.push_back({"serve", "error", e.what()});
+  }
+
+  // Serve host routes: both resident host finders in one service, as
+  // gpumem_serve --fast-index --long-mem runs them. The seed picks the
+  // long-MEM threshold and the request's min_length, so either route may
+  // answer; its MEMs must be the truth filtered to that length.
+  try {
+    serve::ServiceConfig scfg;
+    scfg.engine = cfg;
+    scfg.copmem_fast_index = true;
+    scfg.lazy_lcp = true;
+    scfg.long_mem_threshold =
+        c.min_len + static_cast<std::uint32_t>(c.seed % 8);
+    const std::uint32_t len =
+        c.min_len + static_cast<std::uint32_t>((c.seed >> 3) % 16);
+    serve::MemService service(scfg, ref);
+    serve::QueryRequest req;
+    req.id = "fuzz-routes";
+    req.query = query;
+    req.min_length = len;
+    const serve::QueryResult r = service.submit(std::move(req)).get();
+    if (r.status != serve::QueryStatus::kOk) {
+      out.divergences.push_back(
+          {"serve-routes", "error",
+           std::string(serve::to_string(r.status)) +
+               (r.error.empty() ? "" : ": " + r.error)});
+    } else {
+      std::vector<mem::Mem> want = truth;
+      std::erase_if(want, [len](const mem::Mem& m) { return m.len < len; });
+      check_output("serve-routes", want, r.mems, ref, query, len, out);
+    }
+  } catch (const std::exception& e) {
+    out.divergences.push_back({"serve-routes", "error", e.what()});
   }
 
   return out;

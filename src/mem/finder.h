@@ -69,6 +69,18 @@ class MemFinder {
   /// reference and `query`, in canonical sorted order with no duplicates.
   virtual std::vector<Mem> find(const seq::Sequence& query) const = 0;
 
+  /// find() at a per-call minimum length, which must be >= the build-time
+  /// FinderOptions::min_length. MEM maximality does not depend on L, so the
+  /// default — find() filtered to len >= min_length — is exact; finders
+  /// whose index is L-independent override it to do less work.
+  virtual std::vector<Mem> find_at(const seq::Sequence& query,
+                                   std::uint32_t min_length) const {
+    std::vector<Mem> out = find(query);
+    std::erase_if(out,
+                  [min_length](const Mem& m) { return m.len < min_length; });
+    return out;
+  }
+
   /// Modeled parallel seconds of the last find() (max shard time); equals
   /// measured wall time for single-threaded tools. See DESIGN.md.
   virtual double last_find_modeled_seconds() const { return 0.0; }

@@ -49,11 +49,12 @@ class SlaMemFinder final : public MemFinder {
   std::vector<Mem> find(const seq::Sequence& query) const override;
 
   /// find() at an explicit minimum length, independent of the build-time
-  /// FinderOptions::min_length. The FM index is L-independent, so one
-  /// resident finder answers any per-request L — the serve path's long-MEM
-  /// routing (docs/SERVING.md). Throws std::invalid_argument for L == 0.
+  /// FinderOptions::min_length — also below it. The FM index is
+  /// L-independent, so one resident finder answers any per-request L — the
+  /// serve path's long-MEM route (docs/SERVING.md). Throws
+  /// std::invalid_argument for L == 0.
   std::vector<Mem> find_at(const seq::Sequence& query,
-                           std::uint32_t min_length) const;
+                           std::uint32_t min_length) const override;
 
   double last_find_modeled_seconds() const override { return last_seconds_; }
   std::size_t index_bytes() const override { return fm_ ? fm_->bytes() : 0; }

@@ -21,6 +21,7 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kFailed: return "failed";
     case ErrorCode::kShuttingDown: return "shutting-down";
     case ErrorCode::kTooManyConnections: return "too-many-connections";
+    case ErrorCode::kResultTooLarge: return "result-too-large";
   }
   return "unknown";
 }
@@ -132,9 +133,17 @@ std::vector<std::uint8_t> encode_query(const QueryFrame& q) {
   return encode_frame(FrameType::kQuery, p);
 }
 
+std::size_t result_payload_bytes(std::size_t id_bytes, std::size_t mems) {
+  // u16 id length + id, warm flag, queue_us, service_us, MEM count, then
+  // (r, q, len) as three u32 per MEM.
+  // append_string caps the id at a u16 length.
+  return 2 + std::min<std::size_t>(id_bytes, 0xFFFF) + 1 + 4 + 4 + 4 +
+         mems * 12;
+}
+
 std::vector<std::uint8_t> encode_result(const ResultFrame& r) {
   std::vector<std::uint8_t> p;
-  p.reserve(16 + r.id.size() + r.mems.size() * 12);
+  p.reserve(result_payload_bytes(r.id.size(), r.mems.size()));
   append_string(p, r.id);
   p.push_back(r.warm ? 1 : 0);
   append_u32(p, r.queue_us);

@@ -69,6 +69,7 @@ enum class ErrorCode : std::uint8_t {
   kFailed = 11,          ///< execution error; message has details
   kShuttingDown = 12,    ///< server is draining; no new work accepted
   kTooManyConnections = 13,  ///< connection cap reached (closes)
+  kResultTooLarge = 14,  ///< result frame would exceed kMaxPayloadBytes
 };
 
 const char* to_string(ErrorCode code);
@@ -141,6 +142,11 @@ std::vector<std::uint8_t> encode_frame(FrameType type,
                                        const std::vector<std::uint8_t>& payload);
 std::vector<std::uint8_t> encode_query(const QueryFrame& q);
 std::vector<std::uint8_t> encode_result(const ResultFrame& r);
+/// Payload bytes encode_result produces for an id of `id_bytes` bytes and
+/// `mems` MEMs, computed without building the frame. Above
+/// kMaxPayloadBytes every peer rejects the frame, so the server answers
+/// kResultTooLarge instead.
+std::size_t result_payload_bytes(std::size_t id_bytes, std::size_t mems);
 std::vector<std::uint8_t> encode_error(const ErrorFrame& e);
 std::vector<std::uint8_t> encode_ping();
 std::vector<std::uint8_t> encode_pong();

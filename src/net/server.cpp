@@ -537,6 +537,18 @@ void Server::handle_query(Worker& w, const std::shared_ptr<Connection>& conn,
         bool is_error = true;
         switch (r.status) {
           case serve::QueryStatus::kOk: {
+            if (result_payload_bytes(rid.size(), r.mems.size()) >
+                kMaxPayloadBytes) {
+              // Every peer rejects a frame this large and would drop the
+              // connection; fail only this request instead.
+              ErrorFrame e{ErrorCode::kResultTooLarge, rid,
+                           std::to_string(r.mems.size()) +
+                               " MEMs exceed the " +
+                               std::to_string(kMaxPayloadBytes) +
+                               "-byte frame bound; raise min_length"};
+              bytes = encode_error(e);
+              break;
+            }
             ResultFrame rf;
             rf.id = rid;
             rf.warm = r.stats.index_cache_hit;

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/host_stitch.h"
-#include "mem/clip.h"
 #include "obs/registry.h"
 #include "util/bits.h"
 #include "util/timer.h"
@@ -27,6 +25,9 @@ constexpr std::uint32_t kRequestLanes = 24;
 /// field-encoding bug (the wire carries deadlines in ms as u32), not a real
 /// deadline. ~10 years.
 constexpr double kMaxDeadlineSeconds = 3.2e8;
+
+/// QueryResult::path of requests the device pool answers.
+constexpr const char* kDevicePoolPath = "device-pool";
 
 }  // namespace
 
@@ -100,33 +101,23 @@ MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
           std::to_string(cfg_.artifact->reference().size()) + " bases)");
     }
   }
-  if (cfg_.copmem_fast_index) {
-    copmem_ = std::make_unique<mem::CopMemFinder>();
-    mem::FinderOptions fopt;
-    fopt.min_length = cfg_.engine.min_length;
-    fopt.threads = cfg_.engine.threads;
-    if (cfg_.artifact != nullptr &&
-        cfg_.artifact->has(store::SectionId::kCopmemIndex)) {
-      copmem_->adopt_index(ref_, fopt, cfg_.artifact->copmem_index());
-    } else {
-      copmem_->set_seed_len(cfg_.engine.seed_len);
-      copmem_->build_index(ref_, fopt);
-    }
-  }
+  // Host routes, most specific first: the lazy long-MEM finder from its
+  // threshold up, then copMEM for every other request. Both are exact at
+  // any L >= the engine's: the FM index does not depend on L, and a copMEM
+  // index built at L covers every larger L.
+  mem::FinderOptions fopt;
+  fopt.min_length = cfg_.engine.min_length;
+  const auto open_route = [&](const char* name) {
+    return store::open_host_finder(name, ref_, fopt, cfg_.engine.seed_len,
+                                   cfg_.artifact.get());
+  };
   if (cfg_.lazy_lcp) {
-    slamem_ = std::make_unique<mem::SlaMemFinder>(/*force_lazy=*/true);
-    mem::FinderOptions fopt;
-    fopt.min_length = cfg_.engine.min_length;
-    fopt.lazy_lcp = true;
-    if (cfg_.artifact != nullptr &&
-        cfg_.artifact->has(store::SectionId::kFmIndex)) {
-      slamem_->adopt_index(ref_, fopt, cfg_.artifact->fm_index());
-    } else {
-      slamem_->build_index(ref_, fopt);
-    }
-    if (cfg_.long_mem_threshold == 0) {
-      cfg_.long_mem_threshold = cfg_.engine.min_length;
-    }
+    cfg_.long_mem_threshold =
+        std::max(cfg_.long_mem_threshold, cfg_.engine.min_length);
+    routes_.push_back({cfg_.long_mem_threshold, open_route("slamem-lazy")});
+  }
+  if (cfg_.copmem_fast_index) {
+    routes_.push_back({cfg_.engine.min_length, open_route("copmem")});
   }
   const core::Config::Geometry g = cfg_.engine.validated();
   tile_rows_ = ref_.empty()
@@ -357,8 +348,10 @@ void MemService::dispatcher_loop() {
         switch (result.status) {
           case QueryStatus::kOk:
             ++stats_.completed;
-            stats_.modeled_index_seconds += result.stats.index_seconds;
-            stats_.modeled_match_seconds += result.stats.match_seconds;
+            if (result.path == kDevicePoolPath) {
+              stats_.modeled_index_seconds += result.stats.index_seconds;
+              stats_.modeled_match_seconds += result.stats.match_seconds;
+            }
             break;
           case QueryStatus::kExpired: ++stats_.expired; break;
           case QueryStatus::kFailed: ++stats_.failed; break;
@@ -449,101 +442,26 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
     const std::uint32_t req_len = pending.req.min_length != 0
                                       ? pending.req.min_length
                                       : cfg_.engine.min_length;
-    if (slamem_ != nullptr && req_len >= cfg_.long_mem_threshold) {
-      // Long-MEM fast path: the resident lazy FM-index finder answers at
-      // the request's own L on the host — no device work, and work scales
-      // down as L grows instead of up (PERFORMANCE.md "Long-MEM mode").
-      result.mems = slamem_->find_at(query, req_len);
-      result.stats.match_seconds = slamem_->last_find_modeled_seconds();
+    const auto route = std::find_if(
+        routes_.begin(), routes_.end(),
+        [req_len](const Route& r) { return req_len >= r.min_length; });
+    if (route != routes_.end()) {
+      // A resident host finder answers: no device work and no index cost.
+      // Its match time is the find's measured wall time, not a model.
+      result.path = route->finder->name();
+      util::Timer find;
+      result.mems = route->finder->find_at(query, req_len);
+      result.stats.match_seconds = find.seconds();
       result.stats.index_cache_hit = true;
-      result.stats.mem_count = result.mems.size();
-      result.stats.wall_seconds = wall.seconds();
-      result.stats.trace_id = pending.trace_id;
-      result.status = QueryStatus::kOk;
-      core::publish_run_stats(result.stats);
-      obs::flight(obs::FlightKind::kQueue, "done", pending.trace_id,
-                  static_cast<double>(result.status));
-      request_span.attr("status", std::string(to_string(result.status)));
-      request_span.attr("mems", result.stats.mem_count);
-      request_span.attr("long_mem_len", std::uint64_t{req_len});
-      return result;
-    }
-    if (copmem_ != nullptr) {
-      // copMEM fast-index path: the resident sampled index answers the
-      // request on the host — no device work, no index cost to report.
-      result.mems = copmem_->find(query);
+    } else {
+      result.path = kDevicePoolPath;
+      result.mems = run_device_pool(query, result.stats);
       if (req_len > cfg_.engine.min_length) {
-        std::erase_if(result.mems, [&](const mem::Mem& m) {
+        std::erase_if(result.mems, [req_len](const mem::Mem& m) {
           return m.len < req_len;
         });
       }
-      result.stats.match_seconds = copmem_->last_find_modeled_seconds();
-      result.stats.index_cache_hit = true;
-      result.stats.mem_count = result.mems.size();
-      result.stats.wall_seconds = wall.seconds();
-      result.stats.trace_id = pending.trace_id;
-      result.status = QueryStatus::kOk;
-      core::publish_run_stats(result.stats);
-      obs::flight(obs::FlightKind::kQueue, "done", pending.trace_id,
-                  static_cast<double>(result.status));
-      request_span.attr("status", std::string(to_string(result.status)));
-      request_span.attr("mems", result.stats.mem_count);
-      return result;
     }
-    result.stats.tile_rows = tile_rows_;
-    result.stats.tile_cols =
-        query.empty() ? 0
-                      : static_cast<std::uint32_t>(util::ceil_div<std::size_t>(
-                            query.size(),
-                            cfg_.engine.validated().tile_len));
-    if (query.empty()) result.stats.tile_rows = 0;
-
-    std::vector<mem::Mem> reported;
-    std::vector<mem::Mem> outtile_pieces;
-    bool all_rows_warm = tile_rows_ > 0 && !query.empty();
-    for (DeviceWorker& w : workers_) {
-      if (w.row_begin >= w.row_end) continue;
-      const simt::PerfLedger::Snapshot before = w.dev->ledger().snapshot();
-      w.dev->reset_peak();
-      core::RunStats dstats;
-      engine_.run_simt_rows(*w.dev, ref_, query, w.row_begin, w.row_end,
-                            reported, outtile_pieces, dstats, w.cache.get());
-      // Pool members run concurrently in the model: per-request modeled
-      // time is the slowest device, counters are totals.
-      result.stats.index_seconds =
-          std::max(result.stats.index_seconds, dstats.index_seconds);
-      result.stats.match_seconds =
-          std::max(result.stats.match_seconds, dstats.match_seconds);
-      result.stats.modeled_makespan_seconds =
-          std::max(result.stats.modeled_makespan_seconds,
-                   dstats.modeled_makespan_seconds);
-      result.stats.inblock_mems += dstats.inblock_mems;
-      result.stats.intile_mems += dstats.intile_mems;
-      result.stats.overflow_rounds += dstats.overflow_rounds;
-      result.stats.kernels_launched +=
-          w.dev->ledger().kernels_launched() - before.kernels;
-      result.stats.device_peak_bytes =
-          std::max(result.stats.device_peak_bytes, w.dev->peak_bytes());
-      all_rows_warm = all_rows_warm && dstats.index_cache_hit;
-    }
-    result.stats.index_cache_hit = all_rows_warm;
-
-    // Host merge over the union of all devices' out-tile pieces.
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = core::finalize_out_tile(
-        ref_, query, std::move(outtile_pieces), cfg_.engine.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref_, query, reported, cfg_.engine.min_length);
-    mem::sort_unique(reported);
-    if (req_len > cfg_.engine.min_length) {
-      std::erase_if(reported,
-                    [&](const mem::Mem& m) { return m.len < req_len; });
-    }
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-
-    result.mems = std::move(reported);
     result.stats.mem_count = result.mems.size();
     result.stats.wall_seconds = wall.seconds();
     result.stats.trace_id = pending.trace_id;
@@ -559,7 +477,39 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
               static_cast<double>(result.status));
   request_span.attr("status", std::string(to_string(result.status)));
   request_span.attr("mems", result.stats.mem_count);
+  request_span.attr("path", result.path);
   return result;
+}
+
+std::vector<mem::Mem> MemService::run_device_pool(const seq::Sequence& query,
+                                                  core::RunStats& stats) {
+  stats.tile_cols = static_cast<std::uint32_t>(util::ceil_div<std::size_t>(
+      query.size(), cfg_.engine.validated().tile_len));
+  std::vector<mem::Mem> reported;
+  std::vector<mem::Mem> outtile_pieces;
+  bool all_rows_warm = tile_rows_ > 0;
+  for (DeviceWorker& w : workers_) {
+    if (w.row_begin >= w.row_end) continue;
+    const simt::PerfLedger::Snapshot before = w.dev->ledger().snapshot();
+    w.dev->reset_peak();
+    core::RunStats dstats;
+    engine_.run_simt_rows(*w.dev, ref_, query, w.row_begin, w.row_end,
+                          reported, outtile_pieces, dstats, w.cache.get());
+    // Pool devices persist across requests: counters are this request's
+    // deltas.
+    dstats.tile_rows = w.row_end - w.row_begin;
+    dstats.kernels_launched =
+        w.dev->ledger().kernels_launched() - before.kernels;
+    dstats.device_peak_bytes = w.dev->peak_bytes();
+    core::fold_device_stats(stats, dstats);
+    all_rows_warm = all_rows_warm && dstats.index_cache_hit;
+  }
+  stats.index_cache_hit = all_rows_warm;
+  // Cross-partition MEMs stitch here, over the union of every device's
+  // out-tile pieces.
+  core::merge_out_tile(ref_, query, cfg_.engine.min_length,
+                       std::move(outtile_pieces), reported, stats);
+  return reported;
 }
 
 }  // namespace gm::serve

@@ -5,7 +5,9 @@
 // dispatcher that drains the queue in batches, and a device pool that
 // partitions tile rows per device (run_multi_device's partitioning) with a
 // per-device reference index cache — so steady-state requests pay only the
-// extraction time, not Table III's index build. See docs/SERVING.md.
+// extraction time, not Table III's index build. Optional resident host
+// finders answer requests ahead of the pool through one routing table keyed
+// on the request's min_length. See docs/SERVING.md.
 #pragma once
 
 #include <chrono>
@@ -22,9 +24,8 @@
 
 #include "core/config.h"
 #include "core/pipeline.h"
-#include "mem/copmem.h"
+#include "mem/finder.h"
 #include "mem/mem.h"
-#include "mem/slamem.h"
 #include "seq/sequence.h"
 #include "serve/index_cache.h"
 #include "simt/device.h"
@@ -62,27 +63,24 @@ struct ServiceConfig {
   /// cache_enabled.
   std::shared_ptr<const store::LoadedIndex> artifact;
 
-  /// copMEM fast-index mode (mem/copmem.h): build a host-side
-  /// double-sampled finder over the reference at construction — adopting
-  /// the artifact's kCopmemIndex section when one is attached and carries
-  /// it — and answer every request from it, bypassing the device pool.
-  /// Steady-state requests pay only the sampled scan: index_seconds is 0
-  /// and index_cache_hit is true in every result. `engine.seed_len` is the
-  /// sampling seed length K; `engine` must still be a valid kSimt config.
+  /// copMEM fast-index route (mem/copmem.h): a resident host-side
+  /// double-sampled finder, opened at construction by
+  /// store::open_host_finder, answers every request the lazy route does
+  /// not, bypassing the device pool. index_seconds is 0 and index_cache_hit
+  /// is true in every result. `engine.seed_len` is the sampling seed length
+  /// K; `engine` must still be a valid kSimt config.
   bool copmem_fast_index = false;
 
-  /// Long-MEM serving mode (gpumem_serve --long-mem): build a resident
-  /// lazy-LCP SlaMemFinder over the reference at construction — adopting
-  /// the artifact's kFmIndex section when one is attached and carries it —
-  /// and answer from it every request whose resolved minimum length is >=
-  /// `long_mem_threshold`. The FM index is L-independent, so one resident
-  /// finder serves any per-request L. Results are bit-identical to the
-  /// device pool's (see PERFORMANCE.md "Long-MEM mode").
+  /// Long-MEM route (gpumem_serve --long-mem): a resident lazy-LCP
+  /// SlaMemFinder answers every request whose resolved minimum length is
+  /// >= `long_mem_threshold`. The FM index is L-independent, so one
+  /// resident finder serves any per-request L. Results are bit-identical to
+  /// the device pool's (see PERFORMANCE.md "Long-MEM mode").
   bool lazy_lcp = false;
 
-  /// Minimum-length routing threshold for the lazy fast path; 0 = the
-  /// engine's min_length (so every request qualifies). Requests below it
-  /// run the normal device-pool path.
+  /// Smallest request min_length the lazy route answers; 0 (or anything
+  /// below the engine's min_length) = the engine's min_length, so every
+  /// request qualifies. Requests below it take the next route.
   std::uint32_t long_mem_threshold = 0;
 
   /// Queue submissions without dispatching until resume() — deterministic
@@ -97,9 +95,8 @@ struct QueryRequest {
   /// Per-request minimum MEM length; 0 = the engine's configured
   /// min_length. Values below the engine's L fail validation (kInvalid):
   /// the device pipeline cannot report shorter MEMs than it was built for.
-  /// Larger values filter exactly (MEM maximality is L-independent) and,
-  /// when ServiceConfig::lazy_lcp is on and the value reaches
-  /// long_mem_threshold, route to the resident lazy finder.
+  /// Larger values filter exactly (MEM maximality is L-independent) and
+  /// select the route that answers (docs/SERVING.md "Routing").
   std::uint32_t min_length = 0;
 };
 
@@ -124,10 +121,14 @@ struct QueryResult {
   std::uint64_t trace_id = 0;
   std::vector<mem::Mem> mems;  ///< canonical order, no duplicates
 
-  /// Per-request stats; modeled times combine over the pool like
-  /// run_multi_device (max over concurrently running devices), and
-  /// index_cache_hit means *every* device served every row warm.
+  /// Per-request stats. On the device pool, modeled times combine like
+  /// run_multi_device (max over concurrently running devices) and
+  /// index_cache_hit means *every* device served every row warm. On a host
+  /// route, match_seconds is the find's measured wall time.
   core::RunStats stats;
+  /// The route that answered: a host finder's name ("copmem",
+  /// "slamem-lazy") or "device-pool". Empty when nothing ran.
+  std::string path;
 
   double queue_seconds = 0.0;    ///< submit -> dispatch (wall)
   double service_seconds = 0.0;  ///< dispatch -> completion (wall)
@@ -155,7 +156,9 @@ struct ServiceStats {
   std::size_t queue_depth = 0;  ///< at snapshot time
   std::size_t max_queue_depth = 0;
 
-  double modeled_index_seconds = 0.0;  ///< summed per-request device maxima
+  /// Summed per-request device maxima, over device-pool requests only (host
+  /// routes report measured wall time, not modeled time).
+  double modeled_index_seconds = 0.0;
   double modeled_match_seconds = 0.0;
   double queue_seconds_total = 0.0;  ///< summed over dispatched requests
 };
@@ -227,16 +230,25 @@ class MemService {
     std::uint32_t row_end = 0;
   };
 
+  /// A resident host finder answering every request whose resolved
+  /// min_length is >= `min_length`.
+  struct Route {
+    std::uint32_t min_length = 0;
+    std::unique_ptr<mem::MemFinder> finder;
+  };
+
   void dispatcher_loop();
   QueryResult execute(Pending& pending, double queue_seconds);
+  /// Runs `query` over every pool member's tile rows plus the host merge.
+  std::vector<mem::Mem> run_device_pool(const seq::Sequence& query,
+                                        core::RunStats& stats);
 
   ServiceConfig cfg_;
   seq::Sequence ref_;
   core::Engine engine_;
   std::uint32_t tile_rows_ = 0;
   std::vector<DeviceWorker> workers_;
-  std::unique_ptr<mem::CopMemFinder> copmem_;  ///< fast-index mode only
-  std::unique_ptr<mem::SlaMemFinder> slamem_;  ///< long-MEM mode only
+  std::vector<Route> routes_;  ///< descending min_length; first match wins
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

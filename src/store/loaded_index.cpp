@@ -3,7 +3,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "mem/copmem.h"
+#include "mem/slamem.h"
 #include "obs/registry.h"
+#include "util/thread_pool.h"
 
 namespace gm::store {
 
@@ -203,6 +206,35 @@ void LoadedIndex::throw_if_geometry_mismatch(const core::Config& cfg) const {
   add("tile_len", h.tile_len, geo.tile_len);
   add("min_length", h.min_length, cfg.min_length);
   throw StoreError(artifact_.path(), detail);
+}
+
+std::unique_ptr<mem::MemFinder> open_host_finder(
+    const std::string& name, const seq::Sequence& ref,
+    mem::FinderOptions opt, unsigned seed_len, const LoadedIndex* artifact) {
+  if (name == "copmem") {
+    // Shards are host work: one per pool worker, never the simulated τ.
+    opt.threads =
+        static_cast<std::uint32_t>(util::ThreadPool::global().size());
+    auto finder = std::make_unique<mem::CopMemFinder>();
+    if (artifact != nullptr && artifact->has(SectionId::kCopmemIndex)) {
+      finder->adopt_index(ref, opt, artifact->copmem_index());
+    } else {
+      finder->set_seed_len(seed_len);
+      finder->build_index(ref, opt);
+    }
+    return finder;
+  }
+  if (name == "slamem" || name == "slamem-lazy") {
+    auto finder = std::make_unique<mem::SlaMemFinder>(name == "slamem-lazy");
+    if (artifact != nullptr && artifact->has(SectionId::kFmIndex)) {
+      finder->adopt_index(ref, opt, artifact->fm_index());
+    } else {
+      finder->build_index(ref, opt);
+    }
+    return finder;
+  }
+  throw std::invalid_argument("open_host_finder: no host finder named '" +
+                              name + "' (copmem, slamem, slamem-lazy)");
 }
 
 }  // namespace gm::store

@@ -15,13 +15,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "core/pipeline.h"
 #include "index/fm_index.h"
 #include "index/kmer_index.h"
+#include "mem/finder.h"
 #include "seq/sequence.h"
 #include "store/artifact.h"
 #include "store/format.h"
@@ -77,5 +80,17 @@ class LoadedIndex {
   seq::Sequence ref_;
   std::vector<RowTableEntry> row_table_;
 };
+
+/// Opens the host finder `name` — "copmem", "slamem" or "slamem-lazy" —
+/// over `ref`, which it keeps a pointer to. Adopts `artifact`'s
+/// kCopmemIndex / kFmIndex section when the artifact is given and carries
+/// it, and builds the index otherwise; `ref` must then be the artifact's
+/// reference. copMEM builds use seeds of `seed_len` (0 = auto-size) and
+/// shard find() over the host thread pool. Throws std::invalid_argument
+/// for any other name.
+std::unique_ptr<mem::MemFinder> open_host_finder(
+    const std::string& name, const seq::Sequence& ref,
+    mem::FinderOptions opt, unsigned seed_len,
+    const LoadedIndex* artifact = nullptr);
 
 }  // namespace gm::store

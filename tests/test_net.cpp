@@ -132,6 +132,26 @@ TEST(Protocol, ResultRoundTripWithMems) {
   EXPECT_EQ(back.mems, r.mems);
 }
 
+TEST(Protocol, ResultPayloadBoundIsExactAtTheFrameLimit) {
+  // The size function is the encoder's own arithmetic ...
+  ResultFrame r;
+  r.id = "resp";
+  r.mems = {{10, 20, 30}, {40, 50, 60}};
+  EXPECT_EQ(net::encode_result(r).size(),
+            net::kHeaderBytes + net::result_payload_bytes(r.id.size(), 2));
+  // ... so the server can test a result against the 64 MiB bound without
+  // building it: a 1-byte id leaves room for exactly 5592404 MEMs.
+  const std::size_t fit = 5592404;
+  EXPECT_EQ(net::result_payload_bytes(1, fit), net::kMaxPayloadBytes);
+  EXPECT_GT(net::result_payload_bytes(1, fit + 1), net::kMaxPayloadBytes);
+  // The u16 id length caps what an id can add.
+  EXPECT_EQ(net::result_payload_bytes(1 << 20, 0),
+            net::result_payload_bytes(0xFFFF, 0));
+  // The error is per request: the connection stays usable.
+  EXPECT_FALSE(net::closes_connection(ErrorCode::kResultTooLarge));
+  EXPECT_STREQ(net::to_string(ErrorCode::kResultTooLarge), "result-too-large");
+}
+
 TEST(Protocol, ErrorRoundTrip) {
   net::ErrorFrame e;
   e.code = ErrorCode::kQuotaExceeded;

@@ -10,6 +10,7 @@
 #include "mem/naive.h"
 #include "obs/registry.h"
 #include "seq/synthetic.h"
+#include "store/loaded_index.h"
 #include "util/rng.h"
 
 namespace gm {
@@ -414,10 +415,9 @@ TEST(GpumemFinder, FindBeforeBuildThrows) {
                std::logic_error);
 }
 
-TEST(FastIndex, RunFastIndexMatchesTiledPipeline) {
-  // Engine::run_fast_index (copMEM double sampling) must return the exact
-  // MEM set of the tiled SIMT/native pipelines, with the sampled-index
-  // build reported as index_seconds and the scan as match_seconds.
+TEST(FastIndex, CopmemRouteMatchesTiledPipeline) {
+  // The copMEM fast-index route (store::open_host_finder) must return the
+  // exact MEM set of the tiled SIMT pipeline, at the build L and above it.
   const auto base = seq::GenomeModel{.length = 6000}.generate(53);
   Config cfg;
   cfg.min_length = 14;
@@ -425,17 +425,21 @@ TEST(FastIndex, RunFastIndexMatchesTiledPipeline) {
   cfg.threads = 16;
   cfg.tile_blocks = 2;
   const Engine engine(cfg);
+  mem::FinderOptions opt;
+  opt.min_length = cfg.min_length;
+  const auto fast = store::open_host_finder("copmem", base, opt, cfg.seed_len);
+  EXPECT_EQ(fast->name(), "copmem");
   seq::MutationModel mut;
   mut.snp_rate = 0.03;
   for (int q = 0; q < 3; ++q) {
     const auto query = mut.apply(base, 80 + q);
-    const auto tiled = engine.run(base, query);
-    const auto fast = engine.run_fast_index(base, query);
-    EXPECT_EQ(fast.mems, tiled.mems) << q;
-    EXPECT_EQ(fast.stats.mem_count, fast.mems.size());
-    EXPECT_GT(fast.stats.index_seconds, 0.0);
-    EXPECT_GT(fast.stats.wall_seconds, 0.0);
+    auto tiled = engine.run(base, query).mems;
+    EXPECT_EQ(fast->find(query), tiled) << q;
+    std::erase_if(tiled, [](const mem::Mem& m) { return m.len < 20; });
+    EXPECT_EQ(fast->find_at(query, 20), tiled) << q;
   }
+  EXPECT_THROW(store::open_host_finder("naive", base, opt, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

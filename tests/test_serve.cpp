@@ -8,12 +8,16 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "mem/copmem.h"
 #include "mem/naive.h"
+#include "obs/registry.h"
 #include "seq/synthetic.h"
 #include "serve/index_cache.h"
 #include "serve/service.h"
@@ -464,11 +468,87 @@ TEST(MemServiceTest, PerRequestMinLengthRoutesAndFilters) {
   const auto lazy20 = lazy.submit({"lazy", query, 0.0, 20}).get();
   ASSERT_EQ(lazy20.status, QueryStatus::kOk);
   EXPECT_EQ(lazy20.mems, at20.mems);
+  EXPECT_EQ(lazy20.path, "slamem-lazy");
 
   // Below the threshold the device pool still answers, unchanged.
   const auto dev = lazy.submit({"device", query, 0.0, 0}).get();
   ASSERT_EQ(dev.status, QueryStatus::kOk);
   EXPECT_EQ(dev.mems, at_engine.mems);
+  EXPECT_EQ(dev.path, "device-pool");
+}
+
+TEST(MemServiceTest, HostRoutesShareOneServiceByMinLength) {
+  // Both host routes in one service, as gpumem_serve --fast-index
+  // --long-mem runs them: copMEM answers from the engine's L up to the
+  // long-MEM threshold, the lazy finder from the threshold up. Every answer
+  // is Engine::run filtered to the request's length, and the request span
+  // names the route that answered.
+  const auto ref = test_reference(3000, 93);
+  const auto query = derived_query(ref, 94);
+  ServiceConfig scfg;
+  scfg.engine = small_config();  // engine min_length 12
+  scfg.copmem_fast_index = true;
+  scfg.lazy_lcp = true;
+  scfg.long_mem_threshold = 20;
+  const auto whole = Engine(scfg.engine).run(ref, query).mems;
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  MemService service(scfg, ref);
+  const std::vector<std::pair<std::uint32_t, std::string>> cases = {
+      {0, "copmem"}, {16, "copmem"}, {20, "slamem-lazy"}, {28, "slamem-lazy"}};
+  for (const auto& [len, path] : cases) {
+    const auto res =
+        service.submit({"L" + std::to_string(len), query, 0.0, len}).get();
+    ASSERT_EQ(res.status, QueryStatus::kOk) << res.error;
+    std::vector<mem::Mem> expect = whole;
+    std::erase_if(expect, [len](const mem::Mem& m) { return m.len < len; });
+    EXPECT_EQ(res.mems, expect) << "min_length " << len;
+    EXPECT_EQ(res.path, path) << "min_length " << len;
+  }
+  service.shutdown();
+
+  std::vector<std::string> span_paths;
+  for (const obs::SpanEvent& ev : reg.trace().events()) {
+    if (ev.name != "serve/request") continue;
+    for (const obs::Attr& a : ev.attrs) {
+      if (a.key == "path") {
+        span_paths.push_back(std::get<std::string>(a.value));
+      }
+    }
+  }
+  reg.set_enabled(false);
+  reg.reset();
+  ASSERT_EQ(span_paths.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(span_paths[i], cases[i].second);
+  }
+}
+
+TEST(MemServiceTest, CopmemRouteReportsMeasuredMatchTime) {
+  // A host route's match_seconds is the find's measured wall time. τ = 256
+  // is the simulated block size and must not shard the host find: when it
+  // did, the longest of 256 back-to-back shards was reported, ~1/256 of
+  // the real time. Host routes add nothing to the modeled service totals.
+  const auto ref = test_reference(20000, 95);
+  ServiceConfig scfg;
+  scfg.engine = small_config();
+  scfg.engine.threads = 256;
+  scfg.copmem_fast_index = true;
+  MemService service(scfg, ref);
+  for (std::uint64_t seed = 96; seed < 99; ++seed) {
+    const auto res =
+        service.submit({"q", derived_query(ref, seed), 0.0}).get();
+    ASSERT_EQ(res.status, QueryStatus::kOk) << res.error;
+    EXPECT_EQ(res.path, "copmem");
+    EXPECT_GE(res.stats.match_seconds, 0.5 * res.stats.wall_seconds)
+        << "seed " << seed;
+  }
+  const auto st = service.stats();
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.modeled_index_seconds, 0.0);
+  EXPECT_EQ(st.modeled_match_seconds, 0.0);
 }
 
 TEST(MemServiceTest, CompletionCallbackFiresOnceWithFinalResult) {
