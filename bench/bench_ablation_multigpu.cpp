@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/multi_device.h"
+#include "core/device_pool.h"
 
 using namespace gm;
 
@@ -22,9 +22,10 @@ int main(int argc, char** argv) {
   double base_time = 0.0;
   std::size_t base_mems = 0;
   for (const std::uint32_t devices : {1u, 2u, 4u, 8u}) {
-    const auto r = core::run_multi_device(cfg, devices, data.reference, data.query);
+    const core::Result r =
+        core::DevicePool(cfg, devices, data.reference).run(data.query);
     if (devices == 1) {
-      base_time = r.combined.device_match_seconds();
+      base_time = r.stats.device_match_seconds();
       base_mems = r.mems.size();
     } else if (r.mems.size() != base_mems) {
       std::cerr << "!! device count changed the MEM set\n";
@@ -33,13 +34,13 @@ int main(int argc, char** argv) {
     table.add_row(
         {util::Table::num(static_cast<std::uint64_t>(devices)),
          util::Table::num(static_cast<std::uint64_t>(
-             (r.combined.tile_rows + devices - 1) / devices)),
-         util::Table::num(r.combined.index_seconds, 4),
-         util::Table::num(r.combined.device_match_seconds(), 4),
-         util::Table::num(base_time / std::max(1e-12, r.combined.device_match_seconds()), 2),
-         util::Table::num(r.combined.mem_count)});
+             (r.stats.tile_rows + devices - 1) / devices)),
+         util::Table::num(r.stats.index_seconds, 4),
+         util::Table::num(r.stats.device_match_seconds(), 4),
+         util::Table::num(base_time / std::max(1e-12, r.stats.device_match_seconds()), 2),
+         util::Table::num(r.stats.mem_count)});
     std::cerr << "  devices=" << devices << ": "
-              << r.combined.device_match_seconds() << " s\n";
+              << r.stats.device_match_seconds() << " s\n";
   }
 
   bench::emit("ablation_multigpu", table);

@@ -1,27 +1,32 @@
 // gpumem_cli: a MUMmer-style command-line MEM extraction tool over FASTA
 // files — the shape a downstream user consumes this library in.
 //
-//   ./gpumem_cli --ref ref.fa --query query.fa [--min-len 50] [--seed-len 13]
+//   ./gpumem_cli --ref ref.fa --query query.fa [engine flags]
 //                [--backend native|simt] [--both-strands] [--mum]
 //                [--finder gpumem|mummer|sparsemem|essamem|slamem|
 //                          slamem-lazy|copmem] [--load-index ref.gmidx]
 //                [--trace-out trace.json] [--metrics-out metrics.json]
-//                [--stats] [--threads N]
+//                [--stats] [--host-threads N]
 //   ./gpumem_cli --demo          # runs on generated data, no files needed
-//   ./gpumem_cli index-build --ref ref.fa --out ref.gmidx [geometry flags]
+//   ./gpumem_cli index-build --ref ref.fa --out ref.gmidx [engine flags]
 //   ./gpumem_cli index-info ref.gmidx
 //
-// index-build serializes the reference and its index structures into a
-// persistent *.gmidx artifact (docs/STORAGE.md); --load-index serves
-// matches from such an artifact without re-paying the build. index-info
-// prints an artifact's header and section table.
+// Engine flags (core::describe_engine_flags): --min-len --seed-len --step
+// --tau --tile-blocks --overlap --overlap-streams, read the same way by
+// index-build, the match path and gpumem_serve. index-build serializes the
+// reference and its index structures into a persistent *.gmidx artifact
+// (docs/STORAGE.md); --load-index serves matches from such an artifact
+// without re-paying the build, given the engine flags it was built with.
+// index-info prints an artifact's header and section table.
 //
 // Output format (MUMmer's show-coords flavour):
 //   > <query record name> [Reverse]
 //   <ref_pos+1>  <query_pos+1>  <length>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
+#include "core/device_pool.h"
 #include "core/finders.h"
 #include "mem/registry.h"
 #include "mem/report.h"
@@ -39,58 +44,13 @@
 
 namespace {
 
-/// MemFinder over a loaded artifact: native backend replays the prebuilt
-/// row indexes (run_native_prebuilt), simt backend serves them through an
-/// artifact-backed DeviceRowIndexCache (run_simt_cached) — either way, no
-/// index build runs at match time.
-class ArtifactFinder final : public gm::mem::MemFinder {
- public:
-  ArtifactFinder(std::shared_ptr<const gm::store::LoadedIndex> index,
-                 gm::core::Config cfg)
-      : index_(std::move(index)), cfg_(std::move(cfg)) {}
-
-  std::string name() const override { return "gpumem-artifact"; }
-
-  void build_index(const gm::seq::Sequence& ref,
-                   const gm::mem::FinderOptions& opt) override {
-    (void)ref;  // the artifact embeds the reference
-    cfg_.min_length = opt.min_length;
-    index_->throw_if_geometry_mismatch(cfg_);
-    if (cfg_.backend == gm::core::Backend::kNative) {
-      native_.emplace(index_->native_index());
-    } else {
-      dev_ = std::make_unique<gm::simt::Device>(cfg_.device, 0);
-      cache_ = std::make_unique<gm::serve::DeviceRowIndexCache>(
-          *dev_, cfg_, /*ref_id=*/1);
-      cache_->back_with_artifact(index_);
-    }
-  }
-
-  std::vector<gm::mem::Mem> find(
-      const gm::seq::Sequence& query) const override {
-    const gm::core::Engine engine(cfg_);
-    gm::core::Result result =
-        native_.has_value()
-            ? engine.run_native_prebuilt(index_->reference(), query, *native_)
-            : engine.run_simt_cached(*dev_, index_->reference(), query,
-                                     *cache_);
-    last_seconds_ = result.stats.match_seconds;
-    return std::move(result.mems);
-  }
-
-  double last_find_modeled_seconds() const override { return last_seconds_; }
-  std::size_t index_bytes() const override {
-    return index_->artifact().file_bytes();
-  }
-
- private:
-  std::shared_ptr<const gm::store::LoadedIndex> index_;
-  gm::core::Config cfg_;
-  std::optional<gm::core::Engine::NativeIndex> native_;
-  std::unique_ptr<gm::simt::Device> dev_;
-  std::unique_ptr<gm::serve::DeviceRowIndexCache> cache_;
-  mutable double last_seconds_ = 0.0;
-};
+/// gpumem_cli's engine defaults: the paper's Table IV geometry.
+gm::core::Config cli_defaults() {
+  gm::core::Config cfg;
+  cfg.min_length = 50;
+  cfg.seed_len = 13;
+  return cfg;
+}
 
 int run_index_build(gm::util::Cli& cli) {
   const std::string ref_path = cli.get("ref", "");
@@ -106,16 +66,9 @@ int run_index_build(gm::util::Cli& cli) {
     return 2;
   }
 
-  gm::core::Config cfg;
-  cfg.min_length = static_cast<std::uint32_t>(cli.get_int("min-len", 50));
-  cfg.seed_len = static_cast<std::uint32_t>(cli.get_int(
-      "seed-len", std::min<std::int64_t>(13, cfg.min_length)));
-  cfg.step = static_cast<std::uint32_t>(cli.get_int("step", 0));
   // Tile geometry (tile_len = tau * step * tile_blocks) must match the
-  // serving config — gpumem_serve defaults to --threads 64 --tile-blocks 8.
-  cfg.threads = static_cast<std::uint32_t>(cli.get_int("tau", cfg.threads));
-  cfg.tile_blocks = static_cast<std::uint32_t>(
-      cli.get_int("tile-blocks", cfg.tile_blocks));
+  // serving config — gpumem_serve defaults to --tau 64 --tile-blocks 8.
+  const gm::core::Config cfg = gm::core::engine_flags(cli, cli_defaults());
 
   gm::store::BuildOptions opt;
   opt.ref_name = cli.get("name", records.front().name);
@@ -182,22 +135,17 @@ int main(int argc, char** argv) {
   cli.describe("ref", "reference FASTA (first record used)");
   cli.describe("query", "query FASTA (every record matched)");
   cli.describe("demo", "run on generated synthetic data instead of files");
-  cli.describe("min-len", "minimum MEM length L (default 50)");
-  cli.describe("seed-len", "GPUMEM seed length ls (default 13, must be <= L)");
-  cli.describe("step",
-               "GPUMEM sampling step delta_s; 0 = Eq. 1 maximum L - ls + 1");
+  gm::core::describe_engine_flags(cli, cli_defaults());
   cli.describe("backend", "gpumem backend: native (default) or simt");
-  cli.describe("overlap",
-               "simt backend: run the stream-overlapped tile pipeline "
-               "(same MEMs, smaller modeled makespan; docs/PIPELINE.md)");
-  cli.describe("overlap-streams", "worker streams for --overlap (default 2)");
   cli.describe("finder",
                "tool: gpumem (default), mummer, sparsemem, essamem, slamem, "
                "slamem-lazy (long-MEM sweep), copmem (double-sampling fast "
                "index)");
   cli.describe("both-strands", "also match the reverse-complement query");
   cli.describe("mum", "keep only matches unique in both sequences");
-  cli.describe("out", "write matches to this file instead of stdout");
+  cli.describe("out",
+               "write matches to this file instead of stdout (index-build: "
+               "the output artifact path)");
   cli.describe("trace-out",
                "record the run and write a Chrome-trace JSON here (open in "
                "chrome://tracing or ui.perfetto.dev)");
@@ -208,13 +156,12 @@ int main(int argc, char** argv) {
   cli.describe("stats",
                "print RunStats incl. per-kernel launch counts to stderr "
                "(gpumem finder only)");
-  cli.describe("threads",
+  cli.describe("host-threads",
                "host worker threads (default: GPUMEM_THREADS env or hardware "
                "concurrency)");
   cli.describe("load-index",
                "serve matches from a persistent index artifact (*.gmidx, "
                "see `index-build`); --ref becomes optional");
-  cli.describe("out", "index-build: output artifact path");
   cli.describe("name", "index-build: tenant name stored in the artifact "
                        "(default: reference record name)");
   cli.describe("with-sa", "index-build: also store suffix array + LCP");
@@ -226,9 +173,10 @@ int main(int argc, char** argv) {
                "index-build: also store a copMEM sampled k-mer index at this "
                "reference step k1");
   cli.describe("index", "index-info: artifact path (or pass positionally)");
-  cli.describe("tau", "index-build: threads per block (default 256); with "
-                      "--tile-blocks this fixes the artifact's tile_len");
-  cli.describe("tile-blocks", "index-build: blocks per tile (default 64)");
+  for (const std::string& flag : cli.unknown_flags()) {
+    std::cerr << "unknown flag --" << flag << "; see --help\n";
+    return 2;
+  }
   if (cli.handle_help("gpumem_cli: extract maximal exact matches from FASTA"))
     return 0;
 
@@ -242,22 +190,24 @@ int main(int argc, char** argv) {
       return 2;
     }
     gm::util::ThreadPool::configure_global(
-        static_cast<std::size_t>(cli.get_int("threads", 0)));
+        static_cast<std::size_t>(cli.get_int("host-threads", 0)));
 
-    // A loaded artifact supplies the reference and the geometry defaults;
-    // explicitly passed flags that disagree are rejected (stale geometry).
+    // A loaded artifact supplies the reference and the L, ls and step
+    // defaults; a geometry that disagrees with it is rejected (stale).
     const std::string load_index = cli.get("load-index", "");
     std::shared_ptr<const gm::store::LoadedIndex> loaded;
+    gm::core::Config defaults = cli_defaults();
     if (!load_index.empty()) {
       loaded = std::make_shared<const gm::store::LoadedIndex>(
           gm::store::MappedArtifact::open_file(load_index));
+      defaults.min_length = loaded->header().min_length;
+      defaults.seed_len = loaded->header().seed_len;
+      defaults.step = loaded->header().step;
     }
-
-    const std::uint32_t min_len = static_cast<std::uint32_t>(cli.get_int(
-        "min-len", loaded ? loaded->header().min_length : 50));
-    const std::uint32_t seed_len = static_cast<std::uint32_t>(cli.get_int(
-        "seed-len", loaded ? loaded->header().seed_len
-                           : std::min<std::int64_t>(13, min_len)));
+    gm::core::Config cfg = gm::core::engine_flags(cli, defaults);
+    cfg.backend = cli.get("backend", "native") == "simt"
+                      ? gm::core::Backend::kSimt
+                      : gm::core::Backend::kNative;
 
     gm::seq::Sequence ref;
     std::vector<gm::seq::FastaRecord> queries;
@@ -343,7 +293,7 @@ int main(int argc, char** argv) {
 
     const std::string finder_name = cli.get("finder", "gpumem");
     gm::mem::FinderOptions opt;
-    opt.min_length = min_len;
+    opt.min_length = cfg.min_length;
     opt.sparseness =
         (finder_name == "sparsemem" || finder_name == "essamem") ? 4 : 1;
     const bool host_finder = finder_name == "copmem" ||
@@ -355,6 +305,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     gm::util::Timer index_timer;
+    // Declared before the finder, which borrows them, and the cache after
+    // the pool, whose device holds its rows.
+    std::optional<gm::core::DevicePool> pool;
+    std::unique_ptr<gm::serve::DeviceRowIndexCache> cache;
     std::unique_ptr<gm::mem::MemFinder> finder;
     gm::core::GpumemFinder* gpumem = nullptr;
     if (host_finder) {
@@ -362,37 +316,30 @@ int main(int argc, char** argv) {
       finder = gm::store::open_host_finder(
           finder_name, ref, opt, loaded ? loaded->header().seed_len : 0,
           loaded.get());
-    } else {
-      if (loaded != nullptr) {
-        gm::core::Config cfg;
-        cfg.min_length = min_len;
-        cfg.seed_len = seed_len;
-        cfg.step = static_cast<std::uint32_t>(
-            cli.get_int("step", loaded->header().step));
-        cfg.backend = cli.get("backend", "native") == "simt"
-                          ? gm::core::Backend::kSimt
-                          : gm::core::Backend::kNative;
-        cfg.overlap = cli.get_bool("overlap", false);
-        cfg.overlap_streams = static_cast<std::uint32_t>(
-            cli.get_int("overlap-streams", cfg.overlap_streams));
-        finder = std::make_unique<ArtifactFinder>(loaded, std::move(cfg));
-      } else if (finder_name == "gpumem") {
-        auto g = std::make_unique<gm::core::GpumemFinder>(
-            cli.get("backend", "native") == "simt"
-                ? gm::core::Backend::kSimt
-                : gm::core::Backend::kNative);
-        g->mutable_config().seed_len = seed_len;
-        g->mutable_config().step =
-            static_cast<std::uint32_t>(cli.get_int("step", 0));
-        g->mutable_config().overlap = cli.get_bool("overlap", false);
-        g->mutable_config().overlap_streams =
-            static_cast<std::uint32_t>(cli.get_int(
-                "overlap-streams", g->mutable_config().overlap_streams));
-        gpumem = g.get();
-        finder = std::move(g);
+    } else if (finder_name == "gpumem") {
+      auto g = std::make_unique<gm::core::GpumemFinder>(cfg.backend);
+      g->mutable_config() = cfg;
+      if (loaded == nullptr) {
+        g->build_index(ref, opt);
       } else {
-        finder = gm::mem::create_finder(finder_name);
+        loaded->throw_if_geometry_mismatch(cfg);
+        if (cfg.backend == gm::core::Backend::kNative) {
+          g->adopt_index(ref, opt, loaded->native_index());
+        } else {
+          // Cold rows upload from the artifact instead of running the
+          // Algorithm 1 build kernels.
+          pool.emplace(cfg, 1, ref);
+          cache = std::make_unique<gm::serve::DeviceRowIndexCache>(
+              pool->device(0), cfg, /*ref_id=*/1);
+          cache->back_with_artifact(loaded);
+          pool->attach(0, cache.get());
+          g->adopt_index(opt, *pool);
+        }
       }
+      gpumem = g.get();
+      finder = std::move(g);
+    } else {
+      finder = gm::mem::create_finder(finder_name);
       finder->build_index(ref, opt);
     }
     std::cerr << "[" << finder->name() << "] index built in "

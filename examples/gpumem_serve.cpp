@@ -4,11 +4,13 @@
 // resident reference, with the tile-index cache amortizing index builds.
 //
 //   ./gpumem_serve --ref ref.fa --queries queries.fa [--min-len 20]
-//                  [--seed-len 10] [--devices 1] [--batch 8] [--repeat 1]
+//                  [--seed-len 10] [--step 0] [--tau 64] [--tile-blocks 8]
+//                  [--overlap [--overlap-streams 2]]
+//                  [--devices 1] [--batch 8] [--repeat 1]
 //                  [--queue-cap 256] [--deadline-ms 0] [--no-cache]
 //                  [--fast-index] [--long-mem [--long-mem-threshold L]]
 //                  [--req-min-len L]
-//                  [--threads 64] [--tile-blocks 8] [--host-threads N]
+//                  [--host-threads N]
 //                  [--trace-out t.json] [--metrics-out m.json]
 //                  [--metrics-format json|prom|tsv] [--stats-every N]
 //                  [--flight-out f.log]
@@ -49,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/config.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/registry.h"
@@ -63,6 +66,14 @@
 #include "util/timer.h"
 
 namespace {
+
+/// gpumem_serve's engine defaults: small tiles for short queries.
+gm::core::Config serve_defaults() {
+  gm::core::Config cfg;
+  cfg.threads = 64;
+  cfg.tile_blocks = 8;
+  return cfg;
+}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -402,9 +413,7 @@ int main(int argc, char** argv) {
   cli.describe("ref", "reference FASTA (first record is the served reference)");
   cli.describe("queries", "query FASTA (every record becomes one request)");
   cli.describe("demo", "serve synthetic data instead of files");
-  cli.describe("min-len", "minimum MEM length L (default 20)");
-  cli.describe("seed-len", "seed length ls (default 10, must be <= L)");
-  cli.describe("step", "sampling step delta_s; 0 = Eq. 1 maximum L - ls + 1");
+  gm::core::describe_engine_flags(cli, serve_defaults());
   cli.describe("devices", "simulated device pool size (default 1)");
   cli.describe("batch", "max requests per dispatch round (default 8)");
   cli.describe("repeat", "replay the query file this many times (default 1)");
@@ -424,11 +433,9 @@ int main(int argc, char** argv) {
   cli.describe("req-min-len",
                "per-request minimum MEM length stamped on every submitted "
                "request (wire QueryFrame::min_length); 0 = engine default");
-  cli.describe("threads", "threads per block tau (default 64)");
   cli.describe("host-threads",
                "host worker threads (default: GPUMEM_THREADS env or hardware "
                "concurrency)");
-  cli.describe("tile-blocks", "blocks per tile n_block (default 8)");
   cli.describe("trace-out", "write a Chrome-trace JSON of the replay here");
   cli.describe("metrics-out", "write run metrics here (see --metrics-format)");
   cli.describe("metrics-format",
@@ -467,6 +474,10 @@ int main(int argc, char** argv) {
                "--queries and verify MEMs are bit-identical to direct runs");
   cli.describe("serve-seconds",
                "listen mode: serve this long then exit (0 = forever)");
+  for (const std::string& flag : cli.unknown_flags()) {
+    std::cerr << "unknown flag --" << flag << "; see --help\n";
+    return 2;
+  }
   if (cli.handle_help(
           "gpumem_serve: batched MEM serving with a reference index cache"))
     return 0;
@@ -555,15 +566,7 @@ int main(int argc, char** argv) {
     }
 
     gm::serve::ServiceConfig scfg;
-    scfg.engine.min_length =
-        static_cast<std::uint32_t>(cli.get_int("min-len", 20));
-    scfg.engine.seed_len = static_cast<std::uint32_t>(cli.get_int(
-        "seed-len", std::min<std::int64_t>(10, scfg.engine.min_length)));
-    scfg.engine.step = static_cast<std::uint32_t>(cli.get_int("step", 0));
-    scfg.engine.threads =
-        static_cast<std::uint32_t>(cli.get_int("threads", 64));
-    scfg.engine.tile_blocks =
-        static_cast<std::uint32_t>(cli.get_int("tile-blocks", 8));
+    scfg.engine = gm::core::engine_flags(cli, serve_defaults());
     scfg.devices = static_cast<std::uint32_t>(cli.get_int("devices", 1));
     scfg.max_batch = static_cast<std::size_t>(cli.get_int("batch", 8));
     scfg.queue_capacity =

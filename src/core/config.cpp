@@ -1,9 +1,12 @@
 #include "core/config.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/bits.h"
+#include "util/cli.h"
 
 namespace gm::core {
 
@@ -76,6 +79,43 @@ std::string Config::describe() const {
     if (overlap_shuffle_seed != 0) os << " shuffle=" << overlap_shuffle_seed;
   }
   return os.str();
+}
+
+void describe_engine_flags(util::Cli& cli, const Config& defaults) {
+  const auto dflt = [](std::uint32_t v) {
+    return " (default " + std::to_string(v) + ")";
+  };
+  cli.describe("min-len", "minimum MEM length L" + dflt(defaults.min_length));
+  cli.describe("seed-len", "seed length ls, <= L" + dflt(defaults.seed_len));
+  cli.describe("step", "sampling step delta_s; 0 = Eq. 1 maximum L - ls + 1");
+  cli.describe("tau", "threads per block tau" + dflt(defaults.threads) +
+                          "; with --tile-blocks it fixes the tile length");
+  cli.describe("tile-blocks",
+               "blocks per tile n_block" + dflt(defaults.tile_blocks));
+  cli.describe("overlap",
+               "simt backend: run the stream-overlapped tile pipeline (same "
+               "MEMs, smaller modeled makespan; docs/PIPELINE.md)");
+  cli.describe("overlap-streams",
+               "worker streams for --overlap" + dflt(defaults.overlap_streams));
+}
+
+Config engine_flags(const util::Cli& cli, Config cfg) {
+  const auto u32 = [&cli](const char* name, std::uint32_t fallback) {
+    const std::int64_t v = cli.get_int(name, fallback);
+    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument(std::string("--") + name + ": " +
+                                  std::to_string(v) + " is out of range");
+    }
+    return static_cast<std::uint32_t>(v);
+  };
+  cfg.min_length = u32("min-len", cfg.min_length);
+  cfg.seed_len = u32("seed-len", std::min(cfg.seed_len, cfg.min_length));
+  cfg.step = u32("step", cfg.step);
+  cfg.threads = u32("tau", cfg.threads);
+  cfg.tile_blocks = u32("tile-blocks", cfg.tile_blocks);
+  cfg.overlap = cli.get_bool("overlap", cfg.overlap);
+  cfg.overlap_streams = u32("overlap-streams", cfg.overlap_streams);
+  return cfg;
 }
 
 }  // namespace gm::core

@@ -7,6 +7,10 @@
 
 #include "simt/device.h"
 
+namespace gm::util {
+class Cli;
+}
+
 namespace gm::core {
 
 enum class Backend {
@@ -79,5 +83,14 @@ struct Config {
 
   std::string describe() const;
 };
+
+/// The engine flags every binary reads, one name each: --min-len,
+/// --seed-len, --step, --tau, --tile-blocks, --overlap, --overlap-streams.
+/// describe_engine_flags documents them for --help with `defaults`;
+/// engine_flags reads them over `defaults` (an unset --seed-len is
+/// min(defaults.seed_len, L)) and throws std::invalid_argument naming a
+/// flag whose value is not a uint32.
+void describe_engine_flags(util::Cli& cli, const Config& defaults);
+Config engine_flags(const util::Cli& cli, Config defaults);
 
 }  // namespace gm::core

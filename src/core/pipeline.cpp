@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/device_pool.h"
 #include "core/host_stitch.h"
 #include "core/index_kernels.h"
 #include "mem/clip.h"
@@ -274,10 +275,26 @@ void fold_device_stats(RunStats& pool, const RunStats& device) {
   pool.intile_mems += device.intile_mems;
   pool.overflow_rounds += device.overflow_rounds;
   pool.kernels_launched += device.kernels_launched;
+  for (const RunStats::KernelStat& ks : device.kernel_breakdown) {
+    const auto it = std::find_if(
+        pool.kernel_breakdown.begin(), pool.kernel_breakdown.end(),
+        [&ks](const RunStats::KernelStat& p) { return p.label == ks.label; });
+    if (it == pool.kernel_breakdown.end()) {
+      pool.kernel_breakdown.push_back(ks);
+    } else {
+      it->seconds += ks.seconds;
+      it->launches += ks.launches;
+    }
+  }
+  std::stable_sort(pool.kernel_breakdown.begin(), pool.kernel_breakdown.end(),
+                   [](const RunStats::KernelStat& a,
+                      const RunStats::KernelStat& b) {
+                     return a.seconds > b.seconds;
+                   });
 }
 
 Result Engine::run(const seq::Sequence& ref, const seq::Sequence& query) const {
-  return cfg_.backend == Backend::kSimt ? run_simt(ref, query)
+  return cfg_.backend == Backend::kSimt ? DevicePool(cfg_, 1, ref).run(query)
                                         : run_native(ref, query);
 }
 
@@ -667,66 +684,6 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
       }
     }
   }
-}
-
-Result Engine::run_simt(const seq::Sequence& ref,
-                        const seq::Sequence& query) const {
-  simt::Device dev(cfg_.device);
-  return run_simt_on(dev, ref, query, nullptr);
-}
-
-Result Engine::run_simt_cached(simt::Device& dev, const seq::Sequence& ref,
-                               const seq::Sequence& query,
-                               RowIndexSource& source) const {
-  if (cfg_.backend != Backend::kSimt) {
-    throw std::invalid_argument(
-        "run_simt_cached: row-index sources serve only the SIMT backend");
-  }
-  return run_simt_on(dev, ref, query, &source);
-}
-
-Result Engine::run_simt_on(simt::Device& dev, const seq::Sequence& ref,
-                           const seq::Sequence& query,
-                           RowIndexSource* index_source) const {
-  const Config::Geometry g = cfg_.validated();
-  if (cfg_.observe) obs::Registry::global().set_enabled(true);
-  obs::Span run_span("pipeline/run", "pipeline");
-  run_span.attr("backend", std::string("simt"));
-  run_span.attr("ref_bp", std::uint64_t{ref.size()});
-  run_span.attr("query_bp", std::uint64_t{query.size()});
-  util::Timer wall;
-  Result result;
-
-  // The device may be persistent (serve-layer pool, resident cache), so all
-  // ledger-derived stats are deltas from this point, and the peak watermark
-  // restarts at whatever is currently resident.
-  const simt::PerfLedger::Snapshot base = dev.ledger().snapshot();
-  dev.reset_peak();
-  if (!ref.empty() && !query.empty()) {
-    result.stats.tile_rows = static_cast<std::uint32_t>(
-        util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-    result.stats.tile_cols = static_cast<std::uint32_t>(
-        util::ceil_div<std::size_t>(query.size(), g.tile_len));
-  }
-
-  std::vector<mem::Mem> reported;        // in-block + in-tile MEMs
-  std::vector<mem::Mem> outtile_pieces;  // stitched at the end
-  run_simt_rows(dev, ref, query, 0, result.stats.tile_rows, reported,
-                outtile_pieces, result.stats, index_source);
-
-  merge_out_tile(ref, query, cfg_.min_length, std::move(outtile_pieces),
-                 reported, result.stats);
-
-  result.mems = std::move(reported);
-  result.stats.mem_count = result.mems.size();
-  result.stats.kernels_launched = dev.ledger().kernels_launched() - base.kernels;
-  result.stats.device_peak_bytes = dev.peak_bytes();
-  for (const auto& [label, ls] : dev.ledger().breakdown_since(base)) {
-    result.stats.kernel_breakdown.push_back({label, ls.seconds, ls.launches});
-  }
-  result.stats.wall_seconds = wall.seconds();
-  publish_run_stats(result.stats);
-  return result;
 }
 
 Result Engine::run_native(const seq::Sequence& ref,

@@ -80,9 +80,9 @@ struct RunStats {
 
 /// Mirrors every RunStats field into the global metrics registry under the
 /// "run." / "kernel.<label>." names documented in docs/OBSERVABILITY.md.
-/// No-op when observability is disabled. Engines call this at the end of a
-/// run; front-ends may call it again for derived stats (e.g. the combined
-/// multi-device view).
+/// No-op when observability is disabled. DevicePool::run and the native
+/// engine call it once at the end of each run; the serve layer calls it for
+/// requests a host route answers.
 void publish_run_stats(const RunStats& stats);
 
 /// The final host stage (paper Section III-C2): finalizes the out-tile
@@ -96,7 +96,8 @@ void merge_out_tile(const seq::Sequence& ref, const seq::Sequence& query,
 
 /// Folds one pool member's stats into the pool's. Members run
 /// concurrently, so modeled seconds and peak bytes take the slowest or
-/// largest member; tile rows, MEM counters and launches add up.
+/// largest member; tile rows, MEM counters, launches and the per-label
+/// kernel totals add up.
 void fold_device_stats(RunStats& pool, const RunStats& device);
 
 struct Result {
@@ -131,6 +132,7 @@ class Engine {
   const Config& config() const noexcept { return cfg_; }
 
   /// Extracts all MEMs of length >= cfg.min_length between ref and query.
+  /// The SIMT backend runs a transient one-device DevicePool.
   Result run(const seq::Sequence& ref, const seq::Sequence& query) const;
 
   /// Pre-built per-tile-row indexes for the native backend, enabling the
@@ -151,30 +153,22 @@ class Engine {
                              const seq::Sequence& query,
                              const NativeIndex& prebuilt) const;
 
-  /// run() on the SIMT backend against a caller-owned (usually persistent)
-  /// device, taking every tile-row index from `source` instead of building
-  /// per run — the serve layer's warm path. RunStats are ledger *deltas*,
-  /// so `dev` may carry state from earlier runs; `source` must have been
-  /// created for this exact config (geometry is checked per row).
-  Result run_simt_cached(simt::Device& dev, const seq::Sequence& ref,
-                         const seq::Sequence& query,
-                         RowIndexSource& source) const;
+ private:
+  friend class DevicePool;
 
   /// Device-level work unit: processes tile rows [row_begin, row_end) on
   /// `dev` (uploading the sequences, building the per-row partial index,
   /// matching every tile of those rows), appending reported MEMs and
-  /// out-tile pieces. Exposed for the multi-device driver
-  /// (core/multi_device.h) and the serve layer; single-device run() is this
-  /// over all rows plus the final host merge. When `index_source` is given,
-  /// row indexes are acquired from it instead of built, and
+  /// out-tile pieces. Only DevicePool (core/device_pool.h) calls it, per
+  /// device, before its one host merge. When `index_source` is given, row
+  /// indexes are acquired from it instead of built, and
   /// `stats.index_cache_hit` reports whether every row was served warm.
   void run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
                      const seq::Sequence& query, std::uint32_t row_begin,
                      std::uint32_t row_end, std::vector<mem::Mem>& reported,
                      std::vector<mem::Mem>& outtile_pieces, RunStats& stats,
-                     RowIndexSource* index_source = nullptr) const;
+                     RowIndexSource* index_source) const;
 
- private:
   /// Stream-overlapped variant of run_simt_rows (cfg.overlap = true):
   /// double-buffered index builds, per-row tiles fanned across
   /// cfg.overlap_streams worker streams, per-row host stitch on a worker
@@ -187,10 +181,6 @@ class Engine {
                                 std::vector<mem::Mem>& outtile_pieces,
                                 RunStats& stats,
                                 RowIndexSource* index_source) const;
-  Result run_simt(const seq::Sequence& ref, const seq::Sequence& query) const;
-  Result run_simt_on(simt::Device& dev, const seq::Sequence& ref,
-                     const seq::Sequence& query,
-                     RowIndexSource* index_source) const;
   Result run_native(const seq::Sequence& ref, const seq::Sequence& query,
                     const NativeIndex* prebuilt = nullptr) const;
 

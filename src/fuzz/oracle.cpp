@@ -9,8 +9,10 @@
 //   gpumem-native                 simt-plain (Engine::run)
 //   simt-overlapped (Engine::run with cfg.overlap, stream count and
 //   scheduler shuffle seed derived from the case seed)
-//   simt-cached-cold / -warm (run_simt_cached over a DeviceRowIndexCache)
-//   multi-device (run_multi_device)   serve (MemService, paused batch)
+//   simt-cached-cold / -warm (a one-device DevicePool with a
+//   DeviceRowIndexCache attached, run twice)
+//   multi-device (a transient DevicePool of c.devices cards)
+//   serve (MemService, paused batch)
 //   serve-routes (MemService with both host routes — copMEM and the lazy
 //   long-MEM finder — queried at a seed-derived min_length >= L)
 //   store-roundtrip (build_artifact → MappedArtifact::from_buffer →
@@ -26,7 +28,7 @@
 #include <sstream>
 
 #include "core/finders.h"
-#include "core/multi_device.h"
+#include "core/device_pool.h"
 #include "core/pipeline.h"
 #include "fuzz/fuzz.h"
 #include "mem/copmem.h"
@@ -275,13 +277,14 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
   // SIMT mode 3: cached row indexes — cold build, then the warm path that
   // must serve byte-identical indexes.
   try {
-    simt::Device dev(cfg.device);
-    serve::DeviceRowIndexCache cache(dev, cfg, /*ref_id=*/1);
-    auto cold = engine.run_simt_cached(dev, ref, query, cache);
+    core::DevicePool pool(cfg, 1, ref);
+    serve::DeviceRowIndexCache cache(pool.device(0), cfg, /*ref_id=*/1);
+    pool.attach(0, &cache);
+    auto cold = pool.run(query);
     apply_fault(fault, geo.tile_len, cold.mems);
     check_output("simt-cached-cold", truth, cold.mems, ref, query, c.min_len,
                  out);
-    auto warm = engine.run_simt_cached(dev, ref, query, cache);
+    auto warm = pool.run(query);
     apply_fault(fault, geo.tile_len, warm.mems);
     check_output("simt-cached-warm", truth, warm.mems, ref, query, c.min_len,
                  out);
@@ -291,7 +294,7 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
 
   // SIMT mode 4: multi-device row partitioning.
   try {
-    auto res = core::run_multi_device(cfg, c.devices, ref, query);
+    auto res = core::DevicePool(cfg, c.devices, ref).run(query);
     apply_fault(fault, geo.tile_len, res.mems);
     check_output("multi-device", truth, res.mems, ref, query, c.min_len, out);
   } catch (const std::exception& e) {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/registry.h"
-#include "util/bits.h"
 #include "util/timer.h"
 
 namespace gm::serve {
@@ -76,14 +75,9 @@ void publish_service_stats(const ServiceStats& stats) {
 }
 
 MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
-    : cfg_(std::move(cfg)), ref_(std::move(ref)), engine_(cfg_.engine) {
-  if (cfg_.engine.backend != core::Backend::kSimt) {
-    throw std::invalid_argument(
-        "MemService: the device pool serves only Backend::kSimt configs");
-  }
-  if (cfg_.devices == 0) {
-    throw std::invalid_argument("MemService: need >= 1 device");
-  }
+    : cfg_(std::move(cfg)),
+      ref_(std::move(ref)),
+      pool_(cfg_.engine, cfg_.devices, ref_) {
   if (cfg_.queue_capacity == 0) {
     throw std::invalid_argument("MemService: queue_capacity must be >= 1");
   }
@@ -119,30 +113,16 @@ MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
   if (cfg_.copmem_fast_index) {
     routes_.push_back({cfg_.engine.min_length, open_route("copmem")});
   }
-  const core::Config::Geometry g = cfg_.engine.validated();
-  tile_rows_ = ref_.empty()
-                   ? 0
-                   : static_cast<std::uint32_t>(
-                         util::ceil_div<std::size_t>(ref_.size(), g.tile_len));
-
-  // Row-contiguous partitioning across the pool, as in run_multi_device;
-  // cross-partition MEMs stitch in the per-request host merge.
-  const std::uint32_t rows_per_device =
-      tile_rows_ == 0 ? 0 : util::ceil_div(tile_rows_, cfg_.devices);
-  workers_.reserve(cfg_.devices);
-  for (std::uint32_t d = 0; d < cfg_.devices; ++d) {
-    DeviceWorker w;
-    w.dev = std::make_unique<simt::Device>(cfg_.engine.device, d);
-    if (cfg_.cache_enabled) {
+  if (cfg_.cache_enabled) {
+    for (std::uint32_t d = 0; d < pool_.size(); ++d) {
       // The reference's identity within one service is fixed; device
       // ordinal keeps keys distinct in traces only, not in the key itself.
-      w.cache = std::make_unique<DeviceRowIndexCache>(
-          *w.dev, cfg_.engine, /*ref_id=*/reinterpret_cast<std::uintptr_t>(this));
-      if (cfg_.artifact != nullptr) w.cache->back_with_artifact(cfg_.artifact);
+      caches_.push_back(std::make_unique<DeviceRowIndexCache>(
+          pool_.device(d), cfg_.engine,
+          /*ref_id=*/reinterpret_cast<std::uintptr_t>(this)));
+      caches_.back()->back_with_artifact(cfg_.artifact);
+      pool_.attach(d, caches_.back().get());
     }
-    w.row_begin = std::min(tile_rows_, d * rows_per_device);
-    w.row_end = std::min(tile_rows_, w.row_begin + rows_per_device);
-    workers_.push_back(std::move(w));
   }
 
   paused_ = cfg_.start_paused;
@@ -290,11 +270,10 @@ ServiceStats MemService::stats() const {
   out.queue_depth = queue_.size();
   out.cache_hits = out.cache_misses = 0;
   out.cache_resident_bytes = 0;
-  for (const DeviceWorker& w : workers_) {
-    if (w.cache == nullptr) continue;
-    out.cache_hits += w.cache->hits();
-    out.cache_misses += w.cache->misses();
-    out.cache_resident_bytes += w.cache->resident_bytes();
+  for (const auto& cache : caches_) {
+    out.cache_hits += cache->hits();
+    out.cache_misses += cache->misses();
+    out.cache_resident_bytes += cache->resident_bytes();
   }
   return out;
 }
@@ -453,20 +432,24 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
       result.mems = route->finder->find_at(query, req_len);
       result.stats.match_seconds = find.seconds();
       result.stats.index_cache_hit = true;
+      result.stats.mem_count = result.mems.size();
+      result.stats.wall_seconds = wall.seconds();
+      result.stats.trace_id = pending.trace_id;
+      core::publish_run_stats(result.stats);
     } else {
+      // The pool publishes its own run stats, before this length filter.
       result.path = kDevicePoolPath;
-      result.mems = run_device_pool(query, result.stats);
+      core::Result pooled = pool_.run(query);
+      result.mems = std::move(pooled.mems);
+      result.stats = std::move(pooled.stats);
       if (req_len > cfg_.engine.min_length) {
         std::erase_if(result.mems, [req_len](const mem::Mem& m) {
           return m.len < req_len;
         });
+        result.stats.mem_count = result.mems.size();
       }
     }
-    result.stats.mem_count = result.mems.size();
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.trace_id = pending.trace_id;
     result.status = QueryStatus::kOk;
-    core::publish_run_stats(result.stats);
   } catch (const std::exception& e) {
     result.status = QueryStatus::kFailed;
     result.error = e.what();
@@ -479,37 +462,6 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
   request_span.attr("mems", result.stats.mem_count);
   request_span.attr("path", result.path);
   return result;
-}
-
-std::vector<mem::Mem> MemService::run_device_pool(const seq::Sequence& query,
-                                                  core::RunStats& stats) {
-  stats.tile_cols = static_cast<std::uint32_t>(util::ceil_div<std::size_t>(
-      query.size(), cfg_.engine.validated().tile_len));
-  std::vector<mem::Mem> reported;
-  std::vector<mem::Mem> outtile_pieces;
-  bool all_rows_warm = tile_rows_ > 0;
-  for (DeviceWorker& w : workers_) {
-    if (w.row_begin >= w.row_end) continue;
-    const simt::PerfLedger::Snapshot before = w.dev->ledger().snapshot();
-    w.dev->reset_peak();
-    core::RunStats dstats;
-    engine_.run_simt_rows(*w.dev, ref_, query, w.row_begin, w.row_end,
-                          reported, outtile_pieces, dstats, w.cache.get());
-    // Pool devices persist across requests: counters are this request's
-    // deltas.
-    dstats.tile_rows = w.row_end - w.row_begin;
-    dstats.kernels_launched =
-        w.dev->ledger().kernels_launched() - before.kernels;
-    dstats.device_peak_bytes = w.dev->peak_bytes();
-    core::fold_device_stats(stats, dstats);
-    all_rows_warm = all_rows_warm && dstats.index_cache_hit;
-  }
-  stats.index_cache_hit = all_rows_warm;
-  // Cross-partition MEMs stitch here, over the union of every device's
-  // out-tile pieces.
-  core::merge_out_tile(ref_, query, cfg_.engine.min_length,
-                       std::move(outtile_pieces), reported, stats);
-  return reported;
 }
 
 }  // namespace gm::serve

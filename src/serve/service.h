@@ -2,8 +2,8 @@
 //
 // MemService answers a stream of queries against one reference: a bounded
 // submit queue (admission control / backpressure), per-request deadlines, a
-// dispatcher that drains the queue in batches, and a device pool that
-// partitions tile rows per device (run_multi_device's partitioning) with a
+// dispatcher that drains the queue in batches, and a persistent
+// core::DevicePool that partitions tile rows across devices with a
 // per-device reference index cache — so steady-state requests pay only the
 // extraction time, not Table III's index build. Optional resident host
 // finders answer requests ahead of the pool through one routing table keyed
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/device_pool.h"
 #include "core/pipeline.h"
 #include "mem/finder.h"
 #include "mem/mem.h"
@@ -121,8 +122,8 @@ struct QueryResult {
   std::uint64_t trace_id = 0;
   std::vector<mem::Mem> mems;  ///< canonical order, no duplicates
 
-  /// Per-request stats. On the device pool, modeled times combine like
-  /// run_multi_device (max over concurrently running devices) and
+  /// Per-request stats. On the device pool, modeled times are
+  /// DevicePool::run's (max over concurrently running devices) and
   /// index_cache_hit means *every* device served every row warm. On a host
   /// route, match_seconds is the find's measured wall time.
   core::RunStats stats;
@@ -221,15 +222,6 @@ class MemService {
     std::uint32_t lane = 0;         ///< wall-trace lane for this request
   };
 
-  /// One pool member: a persistent device owning tile rows
-  /// [row_begin, row_end) and, when caching, their resident indexes.
-  struct DeviceWorker {
-    std::unique_ptr<simt::Device> dev;
-    std::unique_ptr<DeviceRowIndexCache> cache;  ///< null when cache off
-    std::uint32_t row_begin = 0;
-    std::uint32_t row_end = 0;
-  };
-
   /// A resident host finder answering every request whose resolved
   /// min_length is >= `min_length`.
   struct Route {
@@ -239,15 +231,13 @@ class MemService {
 
   void dispatcher_loop();
   QueryResult execute(Pending& pending, double queue_seconds);
-  /// Runs `query` over every pool member's tile rows plus the host merge.
-  std::vector<mem::Mem> run_device_pool(const seq::Sequence& query,
-                                        core::RunStats& stats);
 
   ServiceConfig cfg_;
   seq::Sequence ref_;
-  core::Engine engine_;
-  std::uint32_t tile_rows_ = 0;
-  std::vector<DeviceWorker> workers_;
+  core::DevicePool pool_;
+  /// One per pool device when caching; declared after pool_ so the caches
+  /// release their device memory before the devices go away.
+  std::vector<std::unique_ptr<DeviceRowIndexCache>> caches_;
   std::vector<Route> routes_;  ///< descending min_length; first match wins
 
   mutable std::mutex mu_;

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
 
@@ -33,16 +34,38 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+[[noreturn]] void bad_number(const std::string& name, const std::string& value,
+                             const char* kind) {
+  throw std::invalid_argument("--" + name + ": expected " + kind + ", got '" +
+                              value + "'");
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& v = it->second;
+  std::int64_t out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size()) {
+    bad_number(name, v, "an integer");
+  }
+  return out;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& v = it->second;
+  double out = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size()) {
+    bad_number(name, v, "a number");
+  }
+  return out;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -64,10 +87,14 @@ bool Cli::handle_help(const std::string& program_summary) const {
   return true;
 }
 
-std::vector<std::string> Cli::flag_names() const {
+std::vector<std::string> Cli::unknown_flags() const {
   std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, v] : flags_) names.push_back(k);
+  for (const auto& [k, v] : flags_) {
+    const bool described =
+        k == "help" || std::any_of(docs_.begin(), docs_.end(),
+                                   [&k](const auto& d) { return d.first == k; });
+    if (!described) names.push_back(k);
+  }
   return names;
 }
 

@@ -1,7 +1,9 @@
 // Minimal command-line flag parser used by examples and bench binaries.
 //
-// Syntax: --name value | --name=value | --flag (boolean). Unknown flags are
-// an error so typos in experiment scripts fail loudly.
+// Syntax: --name value | --name=value | --flag (boolean). A binary that
+// describe()s every flag it reads rejects the rest (unknown_flags), and a
+// numeric flag whose value does not parse throws, so typos in experiment
+// scripts fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,8 @@ class Cli {
   bool has(const std::string& name) const { return flags_.count(name) != 0; }
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Throw std::invalid_argument naming the flag when the value is not a
+  /// number or has trailing characters.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
@@ -32,9 +36,9 @@ class Cli {
   /// True when --help was passed; prints usage to stdout.
   bool handle_help(const std::string& program_summary) const;
 
-  /// Names that were passed but never queried/described — surfaced so tests
-  /// can assert CLI hygiene.
-  std::vector<std::string> flag_names() const;
+  /// Flags that were passed but never describe()d (--help is always
+  /// known), in name order.
+  std::vector<std::string> unknown_flags() const;
 
  private:
   std::map<std::string, std::string> flags_;

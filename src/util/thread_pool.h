@@ -47,8 +47,8 @@ class ThreadPool {
   /// ShardedExecutor (parallel.h) instead of oversubscribing this pool.
   static ThreadPool& global();
 
-  /// Fixes the global pool's size before first use (CLI --threads flags
-  /// route here). Passing 0 defers to GPUMEM_THREADS / hardware
+  /// Fixes the global pool's size before first use (CLI --host-threads
+  /// flags route here). Passing 0 defers to GPUMEM_THREADS / hardware
   /// concurrency. Throws std::logic_error if the global pool already exists
   /// with a different size — sizing must happen before any parallel work.
   static void configure_global(std::size_t threads);

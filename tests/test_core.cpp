@@ -11,6 +11,7 @@
 #include "mem/common.h"
 #include "mem/naive.h"
 #include "seq/synthetic.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace gm {
@@ -86,6 +87,34 @@ TEST(Config, DescribeMentionsKeyParameters) {
   const std::string d = cfg.describe();
   EXPECT_NE(d.find("L="), std::string::npos);
   EXPECT_NE(d.find("tau="), std::string::npos);
+}
+
+TEST(Config, EngineFlagsReadOneNameEach) {
+  Config defaults;
+  defaults.min_length = 50;
+  defaults.seed_len = 13;
+  {
+    // Unset flags keep the defaults; an unset --seed-len is capped at L.
+    const char* argv[] = {"prog", "--min-len", "10", "--tau", "64",
+                          "--tile-blocks", "8", "--overlap"};
+    const util::Cli cli(8, const_cast<char**>(argv));
+    const Config cfg = core::engine_flags(cli, defaults);
+    EXPECT_EQ(cfg.min_length, 10u);
+    EXPECT_EQ(cfg.seed_len, 10u);
+    EXPECT_EQ(cfg.threads, 64u);
+    EXPECT_EQ(cfg.tile_blocks, 8u);
+    EXPECT_TRUE(cfg.overlap);
+    EXPECT_EQ(cfg.overlap_streams, defaults.overlap_streams);
+    EXPECT_EQ(cfg.step, 0u);
+  }
+  // A value that does not fit the field is refused, not wrapped.
+  for (const char* bad : {"-5", "4294967316"}) {
+    const char* argv[] = {"prog", "--min-len", bad};
+    const util::Cli cli(3, const_cast<char**>(argv));
+    EXPECT_THROW((void)core::engine_flags(cli, defaults),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 // --- Algorithm 2 -------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/multi_device.h"
+#include "core/device_pool.h"
 #include "core/pipeline.h"
 #include "mem/naive.h"
 #include "obs/registry.h"
@@ -168,14 +168,14 @@ TEST(OverlapPipeline, CachedRowIndexSourceMatchesAndHits) {
 
   cfg.overlap = true;
   cfg.overlap_streams = 2;
-  Engine over(cfg);
-  simt::Device dev(cfg.device);
-  serve::DeviceRowIndexCache cache(dev, cfg, /*ref_id=*/1);
-  const Result cold = over.run_simt_cached(dev, ref, query, cache);
+  core::DevicePool over(cfg, 1, ref);
+  serve::DeviceRowIndexCache cache(over.device(0), cfg, /*ref_id=*/1);
+  over.attach(0, &cache);
+  const Result cold = over.run(query);
   EXPECT_EQ(cold.mems, serial.mems);
   EXPECT_FALSE(cold.stats.index_cache_hit);
 
-  const Result warm = over.run_simt_cached(dev, ref, query, cache);
+  const Result warm = over.run(query);
   EXPECT_EQ(warm.mems, serial.mems);
   EXPECT_TRUE(warm.stats.index_cache_hit);
   EXPECT_LT(warm.stats.index_seconds, cold.stats.index_seconds + 1e-12);
@@ -186,19 +186,20 @@ TEST(OverlapPipeline, MultiDeviceAdoptsOverlap) {
   build_pair(3000, 2500, 47, ref, query);
 
   Config cfg = small_config();
-  const auto serial = core::run_multi_device(cfg, 2, ref, query);
+  const Result serial = core::DevicePool(cfg, 2, ref).run(query);
   cfg.overlap = true;
   cfg.overlap_streams = 2;
-  const auto over = core::run_multi_device(cfg, 2, ref, query);
+  std::vector<core::RunStats> per_device;
+  const Result over = core::DevicePool(cfg, 2, ref).run(query, &per_device);
 
   EXPECT_EQ(over.mems, serial.mems);
-  EXPECT_GT(over.combined.modeled_makespan_seconds, 0.0);
+  EXPECT_GT(over.stats.modeled_makespan_seconds, 0.0);
   // Combined makespan is the slowest device, not the sum.
   double mx = 0.0;
-  for (const auto& s : over.per_device) {
+  for (const auto& s : per_device) {
     mx = std::max(mx, s.modeled_makespan_seconds);
   }
-  EXPECT_DOUBLE_EQ(over.combined.modeled_makespan_seconds, mx);
+  EXPECT_DOUBLE_EQ(over.stats.modeled_makespan_seconds, mx);
 }
 
 TEST(OverlapPipeline, ServeAdoptsOverlap) {

@@ -14,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/device_pool.h"
 #include "core/pipeline.h"
 #include "mem/copmem.h"
 #include "mem/naive.h"
@@ -29,6 +30,7 @@ namespace gm {
 namespace {
 
 using core::Config;
+using core::DevicePool;
 using core::Engine;
 using serve::DeviceRowIndexCache;
 using serve::MemService;
@@ -67,10 +69,11 @@ TEST(IndexCache, ColdThenWarmIsByteIdentical) {
   const auto fresh = engine.run(ref, query);
   ASSERT_FALSE(fresh.mems.empty());
 
-  simt::Device dev(cfg.device);
-  DeviceRowIndexCache cache(dev, cfg, /*ref_id=*/1);
+  DevicePool pool(cfg, 1, ref);
+  DeviceRowIndexCache cache(pool.device(0), cfg, /*ref_id=*/1);
+  pool.attach(0, &cache);
 
-  const auto cold = engine.run_simt_cached(dev, ref, query, cache);
+  const auto cold = pool.run(query);
   EXPECT_EQ(cold.mems, fresh.mems);
   EXPECT_FALSE(cold.stats.index_cache_hit);
   EXPECT_GT(cold.stats.index_seconds, 0.0);
@@ -78,7 +81,7 @@ TEST(IndexCache, ColdThenWarmIsByteIdentical) {
   EXPECT_EQ(cache.misses(), cache.rows_cached());
   EXPECT_GT(cache.rows_cached(), 0u);
 
-  const auto warm = engine.run_simt_cached(dev, ref, query, cache);
+  const auto warm = pool.run(query);
   EXPECT_EQ(warm.mems, fresh.mems);
   EXPECT_TRUE(warm.stats.index_cache_hit);
   EXPECT_EQ(warm.stats.index_seconds, 0.0);
@@ -88,13 +91,13 @@ TEST(IndexCache, ColdThenWarmIsByteIdentical) {
 TEST(IndexCache, ServesManyDistinctQueries) {
   const auto ref = test_reference(2500, 53);
   const Config cfg = small_config();
-  const Engine engine(cfg);
-  simt::Device dev(cfg.device);
-  DeviceRowIndexCache cache(dev, cfg, 1);
+  DevicePool pool(cfg, 1, ref);
+  DeviceRowIndexCache cache(pool.device(0), cfg, 1);
+  pool.attach(0, &cache);
 
   for (std::uint64_t seed = 60; seed < 63; ++seed) {
     const auto query = derived_query(ref, seed, 0.01 + 0.01 * (seed - 60));
-    const auto got = engine.run_simt_cached(dev, ref, query, cache);
+    const auto got = pool.run(query);
     EXPECT_EQ(got.mems, mem::find_mems_naive(ref, query, cfg.min_length))
         << "query seed " << seed;
   }
@@ -106,18 +109,19 @@ TEST(IndexCache, LedgerBytesBoundedAcrossCachedRuns) {
   const auto ref = test_reference(4000, 54);
   const auto query = derived_query(ref, 55);
   const Config cfg = small_config();
-  const Engine engine(cfg);
-  simt::Device dev(cfg.device);
+  DevicePool pool(cfg, 1, ref);
+  simt::Device& dev = pool.device(0);
   DeviceRowIndexCache cache(dev, cfg, 1);
+  pool.attach(0, &cache);
 
-  (void)engine.run_simt_cached(dev, ref, query, cache);
+  (void)pool.run(query);
   const std::size_t resident_after_warmup = dev.bytes_in_use();
   EXPECT_EQ(resident_after_warmup, cache.resident_bytes());
   EXPECT_GT(resident_after_warmup, 0u);
 
   std::size_t first_peak = 0;
   for (int i = 0; i < 5; ++i) {
-    const auto r = engine.run_simt_cached(dev, ref, query, cache);
+    const auto r = pool.run(query);
     // Transient run buffers all freed; only cached indexes stay resident.
     EXPECT_EQ(dev.bytes_in_use(), resident_after_warmup) << "run " << i;
     if (i == 0) first_peak = r.stats.device_peak_bytes;
@@ -138,15 +142,13 @@ TEST(IndexCache, GeometryMismatchDetected) {
   const auto ref = test_reference(1500, 57);
   const auto query = derived_query(ref, 58);
   const Config cfg = small_config();
-  simt::Device dev(cfg.device);
-  DeviceRowIndexCache cache(dev, cfg, 1);
-
   Config different = cfg;
   different.seed_len = 8;  // different index geometry, same tile shape
   different.min_length = 16;
-  const Engine engine(different);
-  EXPECT_THROW((void)engine.run_simt_cached(dev, ref, query, cache),
-               std::invalid_argument);
+  DevicePool pool(different, 1, ref);
+  DeviceRowIndexCache cache(pool.device(0), cfg, 1);
+  pool.attach(0, &cache);
+  EXPECT_THROW((void)pool.run(query), std::invalid_argument);
 }
 
 TEST(IndexCache, KeyReflectsGeometry) {
@@ -166,10 +168,11 @@ TEST(IndexCache, ClearReleasesDeviceMemory) {
   const auto ref = test_reference(2000, 59);
   const auto query = derived_query(ref, 60);
   const Config cfg = small_config();
-  const Engine engine(cfg);
-  simt::Device dev(cfg.device);
+  DevicePool pool(cfg, 1, ref);
+  simt::Device& dev = pool.device(0);
   DeviceRowIndexCache cache(dev, cfg, 1);
-  (void)engine.run_simt_cached(dev, ref, query, cache);
+  pool.attach(0, &cache);
+  (void)pool.run(query);
   ASSERT_GT(dev.bytes_in_use(), 0u);
   cache.clear();
   EXPECT_EQ(dev.bytes_in_use(), 0u);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/device_pool.h"
 #include "core/pipeline.h"
 #include "index/fm_index.h"
 #include "index/lcp.h"
@@ -110,10 +111,11 @@ TEST(StoreRoundTrip, SimtCachedExtractionIsBitIdentical) {
 
   const auto loaded = std::make_shared<const LoadedIndex>(
       load_image(store::build_artifact(ref, cfg)));
-  simt::Device dev(cfg.device);
-  serve::DeviceRowIndexCache cache(dev, cfg, /*ref_id=*/1);
+  core::DevicePool pool(cfg, 1, ref);
+  serve::DeviceRowIndexCache cache(pool.device(0), cfg, /*ref_id=*/1);
   cache.back_with_artifact(loaded);
-  const auto replay = engine.run_simt_cached(dev, ref, query, cache);
+  pool.attach(0, &cache);
+  const auto replay = pool.run(query);
   EXPECT_EQ(fresh.mems, replay.mems);
   EXPECT_GT(cache.artifact_loads(), 0u);
 }

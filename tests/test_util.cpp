@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/checksum.h"
@@ -297,6 +300,38 @@ TEST(Cli, BoolFalseSpellings) {
   EXPECT_FALSE(cli.get_bool("b", true));
   EXPECT_FALSE(cli.get_bool("c", true));
   EXPECT_TRUE(cli.get_bool("d", false));
+}
+
+TEST(Cli, ReportsUndescribedFlags) {
+  const char* argv[] = {"prog", "--min-lenn", "30", "--tau", "64", "--help"};
+  util::Cli cli(6, const_cast<char**>(argv));
+  cli.describe("tau", "threads per block");
+  cli.describe("min-len", "minimum length");
+  // --help is always known; the misspelt flag is reported, not ignored.
+  EXPECT_EQ(cli.unknown_flags(), std::vector<std::string>{"min-lenn"});
+}
+
+TEST(Cli, GarbledNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog",         "--a=abc", "--b=12x", "--c=",
+                        "--d=0.5x",     "--e=-7",  "--f=2.5", "--g",
+                        "--h=1e3"};
+  util::Cli cli(9, const_cast<char**>(argv));
+  for (const char* name : {"a", "b", "c", "f", "g"}) {
+    try {
+      (void)cli.get_int(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)cli.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("a", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("e", 0), -7);
+  EXPECT_DOUBLE_EQ(cli.get_double("f", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(cli.get_double("h", 0.0), 1000.0);
+  EXPECT_EQ(cli.get_int("missing", 9), 9);
 }
 
 // Known FNV-1a 64 vectors (from the reference implementation's test suite).
