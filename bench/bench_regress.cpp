@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
     const double serial_wall = ts.seconds();
 
     core::Config ocfg = cfg;
-    ocfg.overlap = true;
     ocfg.overlap_streams = 4;
     util::Timer to;
     const core::Result over =
@@ -126,7 +125,6 @@ int main(int argc, char** argv) {
     serve::ServiceConfig scfg;
     scfg.engine = bench::gpumem_config(pc, core::Backend::kSimt,
                                        data.reference.size());
-    scfg.engine.overlap = true;
     scfg.engine.overlap_streams = 4;
     serve::MemService svc(scfg, data.reference);
     (void)svc.submit({.id = "cold", .query = data.query}).get();  // warm cache

@@ -84,13 +84,12 @@ int main(int argc, char** argv) {
       }
       row.push_back(util::Table::num(finder.last_stats().device_match_seconds(), 3));
 
-      // Stream-overlapped pipeline over the same config: must produce the
+      // The same config on four worker streams: must produce the
       // bit-identical MEM set, in less modeled makespan (double-buffered
       // index builds + cross-row SM backfill — see docs/PIPELINE.md).
       const core::Config scfg =
           bench::gpumem_config(pc, core::Backend::kSimt, data.reference.size());
       core::Config ocfg = scfg;
-      ocfg.overlap = true;
       ocfg.overlap_streams = 4;
       const core::Result serial = core::Engine(scfg).run(data.reference, data.query);
       const core::Result over = core::Engine(ocfg).run(data.reference, data.query);

@@ -12,7 +12,7 @@
 //   ./gpumem_cli index-info ref.gmidx
 //
 // Engine flags (core::describe_engine_flags): --min-len --seed-len --step
-// --tau --tile-blocks --overlap --overlap-streams, read the same way by
+// --tau --tile-blocks --overlap-streams, read the same way by
 // index-build, the match path and gpumem_serve. index-build serializes the
 // reference and its index structures into a persistent *.gmidx artifact
 // (docs/STORAGE.md); --load-index serves matches from such an artifact

@@ -5,7 +5,7 @@
 //
 //   ./gpumem_serve --ref ref.fa --queries queries.fa [--min-len 20]
 //                  [--seed-len 10] [--step 0] [--tau 64] [--tile-blocks 8]
-//                  [--overlap [--overlap-streams 2]]
+//                  [--overlap-streams 1]
 //                  [--devices 1] [--batch 8] [--repeat 1]
 //                  [--queue-cap 256] [--deadline-ms 0] [--no-cache]
 //                  [--fast-index] [--long-mem [--long-mem-threshold L]]

@@ -36,9 +36,8 @@ Config::Geometry Config::validated() const {
   if (output_capacity == 0) {
     throw std::invalid_argument("Config: output_capacity must be >= 1");
   }
-  if (overlap && overlap_streams == 0) {
-    throw std::invalid_argument(
-        "Config: overlap_streams must be >= 1 when overlap is enabled");
+  if (overlap_streams == 0) {
+    throw std::invalid_argument("Config: overlap_streams must be >= 1");
   }
 
   Geometry g;
@@ -74,10 +73,8 @@ std::string Config::describe() const {
      << " lb=" << (load_balance ? "on" : "off")
      << " combine=" << (combine ? "on" : "off") << " backend="
      << (backend == Backend::kSimt ? "simt" : "native");
-  if (overlap) {
-    os << " overlap=on streams=" << overlap_streams;
-    if (overlap_shuffle_seed != 0) os << " shuffle=" << overlap_shuffle_seed;
-  }
+  if (overlap_streams != 1) os << " streams=" << overlap_streams;
+  if (overlap_shuffle_seed != 0) os << " shuffle=" << overlap_shuffle_seed;
   return os.str();
 }
 
@@ -92,11 +89,10 @@ void describe_engine_flags(util::Cli& cli, const Config& defaults) {
                           "; with --tile-blocks it fixes the tile length");
   cli.describe("tile-blocks",
                "blocks per tile n_block" + dflt(defaults.tile_blocks));
-  cli.describe("overlap",
-               "simt backend: run the stream-overlapped tile pipeline (same "
-               "MEMs, smaller modeled makespan; docs/PIPELINE.md)");
   cli.describe("overlap-streams",
-               "worker streams for --overlap" + dflt(defaults.overlap_streams));
+               "simt backend: worker streams the tile pipeline runs on; "
+               "above 1 they overlap (same MEMs, smaller modeled makespan; "
+               "docs/PIPELINE.md)" + dflt(defaults.overlap_streams));
 }
 
 Config engine_flags(const util::Cli& cli, Config cfg) {
@@ -113,7 +109,6 @@ Config engine_flags(const util::Cli& cli, Config cfg) {
   cfg.step = u32("step", cfg.step);
   cfg.threads = u32("tau", cfg.threads);
   cfg.tile_blocks = u32("tile-blocks", cfg.tile_blocks);
-  cfg.overlap = cli.get_bool("overlap", cfg.overlap);
   cfg.overlap_streams = u32("overlap-streams", cfg.overlap_streams);
   return cfg;
 }

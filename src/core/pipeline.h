@@ -37,15 +37,16 @@ struct RunStats {
   /// Host wall-clock for the entire run (simulation cost; not a result).
   double wall_seconds = 0.0;
 
-  /// Modeled device seconds from first to last device operation. Serial
-  /// runs: the ledger delta (= every charge, end to end). Stream-overlapped
-  /// runs: the StreamScheduler's overlapped makespan — smaller than the
-  /// ledger delta by exactly the overlap won (copies and index builds hidden
-  /// behind match kernels, concurrent tile kernels backfilling SM slots).
-  /// index_seconds/match_seconds stay serial-style sums either way, so
-  /// serial vs overlapped runs are directly comparable (overlapped sums can
-  /// deviate marginally: output capacities adapt per stream, not globally,
-  /// so retry/memset costs land on different tiles).
+  /// Modeled device seconds from first to last device operation: the
+  /// StreamScheduler's makespan over the run's streams. With one worker
+  /// stream (the default) every op runs back to back, so this is the
+  /// serial timeline; with W > 1 it is smaller than the ledger delta by
+  /// exactly the overlap won (copies and index builds hidden behind match
+  /// kernels, concurrent tile kernels backfilling SM slots).
+  /// index_seconds/match_seconds stay serial-style sums at every W, so
+  /// runs at different W are directly comparable (they can deviate
+  /// marginally: output capacities adapt per stream, not globally, so
+  /// retry/memset costs land on different tiles).
   double modeled_makespan_seconds = 0.0;
 
   std::uint64_t mem_count = 0;
@@ -156,31 +157,21 @@ class Engine {
  private:
   friend class DevicePool;
 
-  /// Device-level work unit: processes tile rows [row_begin, row_end) on
-  /// `dev` (uploading the sequences, building the per-row partial index,
-  /// matching every tile of those rows), appending reported MEMs and
-  /// out-tile pieces. Only DevicePool (core/device_pool.h) calls it, per
-  /// device, before its one host merge. When `index_source` is given, row
-  /// indexes are acquired from it instead of built, and
-  /// `stats.index_cache_hit` reports whether every row was served warm.
+  /// Device-level work unit (paper Fig. 1): processes tile rows
+  /// [row_begin, row_end) on `dev` — uploads the sequences, builds each
+  /// row's partial index, matches every tile of the row — and appends
+  /// reported MEMs and out-tile pieces. The work is enqueued on a copy
+  /// stream plus cfg.overlap_streams worker streams (tile columns col % W)
+  /// and drained on the calling thread; W = 1 is the serial timeline.
+  /// Only DevicePool (core/device_pool.h) calls it, per device, before its
+  /// one host merge. When `index_source` is given, row indexes are acquired
+  /// from it instead of built, and `stats.index_cache_hit` reports whether
+  /// every row was served warm.
   void run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
                      const seq::Sequence& query, std::uint32_t row_begin,
                      std::uint32_t row_end, std::vector<mem::Mem>& reported,
                      std::vector<mem::Mem>& outtile_pieces, RunStats& stats,
                      RowIndexSource* index_source) const;
-
-  /// Stream-overlapped variant of run_simt_rows (cfg.overlap = true):
-  /// double-buffered index builds, per-row tiles fanned across
-  /// cfg.overlap_streams worker streams, per-row host stitch on a worker
-  /// thread. Identical outputs and serial-sum stats; only
-  /// modeled_makespan_seconds (and wall clock) improve.
-  void run_simt_rows_overlapped(simt::Device& dev, const seq::Sequence& ref,
-                                const seq::Sequence& query,
-                                std::uint32_t row_begin, std::uint32_t row_end,
-                                std::vector<mem::Mem>& reported,
-                                std::vector<mem::Mem>& outtile_pieces,
-                                RunStats& stats,
-                                RowIndexSource* index_source) const;
   Result run_native(const seq::Sequence& ref, const seq::Sequence& query,
                     const NativeIndex* prebuilt = nullptr) const;
 

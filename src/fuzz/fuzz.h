@@ -11,7 +11,7 @@
 // run_case executes every registered finder (including the copMEM
 // double-sampled finder and the lazy long-MEM slaMEM sweep), the SIMT
 // pipeline in all
-// five serving shapes (plain run, stream-overlapped run, cached-index run,
+// five serving shapes (plain run, multi-stream run, cached-index run,
 // multi-device run, the batched MemService path), and a persistent-artifact
 // round trip (serialize to a *.gmidx image, reopen through the verifying
 // store reader, extract from the loaded index) against the naive ground

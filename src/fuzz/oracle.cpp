@@ -7,7 +7,7 @@
 //   lazy-slamem (lazy long-MEM sweep, with an injectable skipped-survivor
 //   fault; bit-identity with eager slamem is the tentpole claim)
 //   gpumem-native                 simt-plain (Engine::run)
-//   simt-overlapped (Engine::run with cfg.overlap, stream count and
+//   simt-overlapped (Engine::run at 2-4 worker streams, stream count and
 //   scheduler shuffle seed derived from the case seed)
 //   simt-cached-cold / -warm (a one-device DevicePool with a
 //   DeviceRowIndexCache attached, run twice)
@@ -257,13 +257,13 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
     out.divergences.push_back({"simt-plain", "error", e.what()});
   }
 
-  // SIMT mode 2: the stream-overlapped pipeline. Stream count and the
-  // scheduler's drain-order shuffle derive from the case seed, so every
-  // sampled case exercises a different interleaving — reproducibly.
+  // SIMT mode 2: the pipeline on W > 1 worker streams (W = 1 is
+  // simt-plain). Stream count and the scheduler's drain-order shuffle
+  // derive from the case seed, so every sampled case exercises a different
+  // interleaving — reproducibly.
   try {
     core::Config ocfg = cfg;
-    ocfg.overlap = true;
-    ocfg.overlap_streams = 1 + static_cast<std::uint32_t>(c.seed % 3);
+    ocfg.overlap_streams = 2 + static_cast<std::uint32_t>(c.seed % 3);
     ocfg.overlap_shuffle_seed = c.seed;
     auto res = core::Engine(ocfg).run(ref, query);
     apply_fault(fault, geo.tile_len, res.mems);

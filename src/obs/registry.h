@@ -68,8 +68,8 @@ inline bool enabled() noexcept { return Registry::global().enabled(); }
 
 /// Records a modeled-device-clock span (start/duration in ledger seconds).
 /// `track` selects the timeline lane within the device's modeled clock
-/// (0 = serial; stream-overlapped runs use 1 + stream index). Returns the
-/// event's trace index (for TraceRecorder::retime).
+/// (0 = outside a stream scheduler; stream work uses 1 + stream index).
+/// Returns the event's trace index (for TraceRecorder::retime).
 std::size_t record_modeled_span(std::string name, std::string category,
                                 double start_seconds, double duration_seconds,
                                 std::uint32_t device,

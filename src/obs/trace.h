@@ -51,8 +51,8 @@ struct SpanEvent {
   /// pipeline or stream scheduler inherit the serve-layer request id.
   std::uint64_t trace_id = 0;
   std::uint32_t device = 0;  ///< device ordinal (modeled-clock spans)
-  /// Timeline within the clock domain (Chrome trace "thread"). Serial
-  /// pipeline work stays on track 0; stream-overlapped runs put each
+  /// Timeline within the clock domain (Chrome trace "thread"). Work outside
+  /// a stream scheduler stays on track 0; the SIMT pipeline puts each
   /// simt::Stream on its own track so concurrent phases render as parallel
   /// lanes instead of interleaved garbage on a single modeled clock.
   std::uint32_t track = 0;

@@ -191,8 +191,12 @@ void LoadedIndex::throw_if_geometry_mismatch(const core::Config& cfg) const {
   if (geometry_matches(cfg)) return;
   const core::Config::Geometry geo = cfg.validated();
   const ArtifactHeader& h = header();
-  std::string detail = "stale geometry — rebuild with `gpumem_cli "
-                       "index-build`; mismatches:";
+  // tile_len alone is a property of the run, not of the artifact: the
+  // same artifact loads once the run passes the τ/n_block it was built at.
+  std::string detail =
+      "stale geometry — pass the --tau/--tile-blocks the artifact was built "
+      "with (tile_len = tile_blocks·τ·Δs) if only tile_len differs, else "
+      "rebuild with `gpumem_cli index-build`; mismatches:";
   const auto add = [&detail](const char* field, std::uint64_t artifact_v,
                              std::uint64_t want_v) {
     if (artifact_v != want_v) {

@@ -96,15 +96,14 @@ TEST(Config, EngineFlagsReadOneNameEach) {
   {
     // Unset flags keep the defaults; an unset --seed-len is capped at L.
     const char* argv[] = {"prog", "--min-len", "10", "--tau", "64",
-                          "--tile-blocks", "8", "--overlap"};
-    const util::Cli cli(8, const_cast<char**>(argv));
+                          "--tile-blocks", "8", "--overlap-streams", "3"};
+    const util::Cli cli(9, const_cast<char**>(argv));
     const Config cfg = core::engine_flags(cli, defaults);
     EXPECT_EQ(cfg.min_length, 10u);
     EXPECT_EQ(cfg.seed_len, 10u);
     EXPECT_EQ(cfg.threads, 64u);
     EXPECT_EQ(cfg.tile_blocks, 8u);
-    EXPECT_TRUE(cfg.overlap);
-    EXPECT_EQ(cfg.overlap_streams, defaults.overlap_streams);
+    EXPECT_EQ(cfg.overlap_streams, 3u);
     EXPECT_EQ(cfg.step, 0u);
   }
   // A value that does not fit the field is refused, not wrapped.

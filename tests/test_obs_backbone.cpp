@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -282,6 +283,38 @@ TEST(FlightRecorder, RecordsStructuredEventsInOrder) {
   EXPECT_EQ(fr.dropped(), 0u);
 }
 
+TEST(FlightRecorder, SimtRunRecordsLedgerEventPerRowAndTile) {
+  // The device loop leaves one kLedger event per tile-row index build and
+  // one per matched tile, each carrying the modeled seconds it charged.
+  ObsTestGuard guard;
+  const auto ref = seq::GenomeModel{.length = 1500}.generate(61);
+  seq::MutationModel mut;
+  mut.snp_rate = 0.02;
+  const auto query = mut.apply(ref, 62);
+  core::Config cfg;
+  cfg.min_length = 12;
+  cfg.seed_len = 6;
+  cfg.threads = 16;
+  cfg.tile_blocks = 2;
+  const core::Result res = core::Engine(cfg).run(ref, query);
+  ASSERT_GT(res.stats.tile_rows, 1u);
+  ASSERT_GT(res.stats.tile_cols, 1u);
+
+  std::uint64_t rows = 0, tiles = 0;
+  double charged = 0.0;
+  for (const obs::FlightEvent& ev : obs::FlightRecorder::global().events()) {
+    if (ev.kind != obs::FlightKind::kLedger) continue;
+    rows += std::string_view(ev.label) == "index/build-row";
+    tiles += std::string_view(ev.label) == "match/tile";
+    charged += ev.a;
+  }
+  EXPECT_EQ(rows, res.stats.tile_rows);
+  EXPECT_EQ(tiles, std::uint64_t{res.stats.tile_rows} * res.stats.tile_cols);
+  const double device_seconds =
+      res.stats.index_seconds + res.stats.device_match_seconds();
+  EXPECT_NEAR(charged, device_seconds, 1e-9 + device_seconds * 1e-9);
+}
+
 TEST(FlightRecorder, RingKeepsOnlyTheLastCapacityEvents) {
   ObsTestGuard guard;
   auto& fr = obs::FlightRecorder::global();
@@ -400,9 +433,9 @@ TEST(TraceId, EverySpanCarriesTheSubmittingRequestsId) {
   scfg.engine.seed_len = 6;
   scfg.engine.threads = 16;
   scfg.engine.tile_blocks = 2;
-  // Overlap mode drives the stream scheduler, so the trace includes spans
-  // emitted from inside stream-op closures — they must inherit the id too.
-  scfg.engine.overlap = true;
+  // Two worker streams interleave the stream-op closures, whose spans must
+  // inherit the submitting request's id too.
+  scfg.engine.overlap_streams = 2;
   scfg.max_batch = 4;
   scfg.start_paused = true;
 

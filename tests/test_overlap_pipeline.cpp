@@ -1,7 +1,8 @@
-// Stream-overlapped pipeline tests: the overlapped path must produce the
-// exact serial MEM set under every stream count, scheduler interleaving
-// (50 shuffle seeds), and front-end (plain run, cached/serve path,
-// multi-device), while only modeled makespan — never results — changes.
+// Worker-stream tests for the one SIMT tile loop: at W > 1 worker streams
+// it must produce the exact W = 1 (serial) MEM set under every stream
+// count, scheduler interleaving (50 shuffle seeds), and front-end (plain
+// run, cached/serve path, multi-device), while only modeled makespan —
+// never results — changes.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -54,7 +55,6 @@ TEST(OverlapPipeline, MatchesSerialAndNaiveAcrossStreamCounts) {
   const Result serial = Engine(cfg).run(ref, query);
   EXPECT_EQ(serial.mems, truth);
 
-  cfg.overlap = true;
   for (std::uint32_t streams : {1u, 2u, 3u, 5u}) {
     cfg.overlap_streams = streams;
     const Result over = Engine(cfg).run(ref, query);
@@ -80,7 +80,6 @@ TEST(OverlapPipeline, DeterministicAcross50ShuffleSeeds) {
   const Result serial = Engine(cfg).run(ref, query);
   ASSERT_FALSE(serial.mems.empty());
 
-  cfg.overlap = true;
   cfg.overlap_streams = 3;
   Result first;  // seed 1's run, the cross-seed stats reference
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
@@ -124,7 +123,6 @@ TEST(OverlapPipeline, MakespanImprovesOnSerialAndStatsStayComparable) {
 
   Config cfg = small_config();
   const Result serial = Engine(cfg).run(ref, query);
-  cfg.overlap = true;
   cfg.overlap_streams = 2;
   const Result over = Engine(cfg).run(ref, query);
 
@@ -151,12 +149,26 @@ TEST(OverlapPipeline, SingleTileInputStillCorrect) {
 
   Config cfg = small_config();
   const Result serial = Engine(cfg).run(ref, query);
-  cfg.overlap = true;
   cfg.overlap_streams = 4;
   const Result over = Engine(cfg).run(ref, query);
   EXPECT_EQ(over.mems, serial.mems);
   EXPECT_EQ(over.stats.tile_rows, 1u);
   EXPECT_EQ(over.stats.tile_cols, 1u);
+}
+
+TEST(OverlapPipeline, OneStreamHoldsOneRowIndexSlot) {
+  // A second index slot only pays when another worker stream can match
+  // row k while row k+1 builds; at W = 1 it would be dead device memory.
+  seq::Sequence ref, query;
+  build_pair(2400, 2000, 43, ref, query);
+
+  Config cfg = small_config();
+  const Result one = Engine(cfg).run(ref, query);
+  ASSERT_GT(one.stats.tile_rows, 1u);
+  cfg.overlap_streams = 2;
+  const Result two = Engine(cfg).run(ref, query);
+  EXPECT_EQ(two.mems, one.mems);
+  EXPECT_LT(one.stats.device_peak_bytes, two.stats.device_peak_bytes);
 }
 
 TEST(OverlapPipeline, CachedRowIndexSourceMatchesAndHits) {
@@ -166,7 +178,6 @@ TEST(OverlapPipeline, CachedRowIndexSourceMatchesAndHits) {
   Config cfg = small_config();
   const Result serial = Engine(cfg).run(ref, query);
 
-  cfg.overlap = true;
   cfg.overlap_streams = 2;
   core::DevicePool over(cfg, 1, ref);
   serve::DeviceRowIndexCache cache(over.device(0), cfg, /*ref_id=*/1);
@@ -187,7 +198,6 @@ TEST(OverlapPipeline, MultiDeviceAdoptsOverlap) {
 
   Config cfg = small_config();
   const Result serial = core::DevicePool(cfg, 2, ref).run(query);
-  cfg.overlap = true;
   cfg.overlap_streams = 2;
   std::vector<core::RunStats> per_device;
   const Result over = core::DevicePool(cfg, 2, ref).run(query, &per_device);
@@ -211,7 +221,6 @@ TEST(OverlapPipeline, ServeAdoptsOverlap) {
 
   serve::ServiceConfig cfg;
   cfg.engine = engine_cfg;
-  cfg.engine.overlap = true;
   cfg.engine.overlap_streams = 2;
   serve::MemService svc(cfg, ref);
   auto fut = svc.submit({.id = "q1", .query = query});
@@ -240,7 +249,6 @@ TEST(OverlapPipeline, SpansLandOnPerStreamTracks) {
   seq::Sequence ref, query;
   build_pair(1500, 1200, 59, ref, query);
   Config cfg = small_config();
-  cfg.overlap = true;
   cfg.overlap_streams = 2;
   (void)Engine(cfg).run(ref, query);
 

@@ -362,6 +362,9 @@ TEST(StoreCorruption, StaleGeometryNamesEveryMismatchedField) {
     EXPECT_NE(msg.find("seed_len"), std::string::npos) << msg;
     EXPECT_NE(msg.find("min_length"), std::string::npos) << msg;
     EXPECT_NE(msg.find("index-build"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--tau/--tile-blocks"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("tile_len = tile_blocks·τ·Δs"), std::string::npos)
+        << msg;
   }
 }
 
