@@ -192,6 +192,25 @@ TEST(Pipeline, OutputBufferRetryKeepsResultsExact) {
             mem::find_mems_naive(base, query, 10));
 }
 
+TEST(Pipeline, SmallTileBuffersFitTheTile) {
+  // 192 bp tiles emit at most a few thousand triplets; sizing their lists
+  // and scratch at the default capacities would cost more device (and host)
+  // memory than one full-capacity output list.
+  const auto base = seq::GenomeModel{.length = 3000}.generate(23);
+  seq::MutationModel mut;
+  mut.snp_rate = 0.02;
+  const auto query = mut.apply(base, 6);
+  Config cfg;
+  cfg.min_length = 10;
+  cfg.seed_len = 5;
+  cfg.threads = 16;
+  cfg.tile_blocks = 2;
+  const auto result = Engine(cfg).run(base, query);
+  EXPECT_EQ(result.mems, mem::find_mems_naive(base, query, 10));
+  EXPECT_LT(result.stats.device_peak_bytes,
+            std::size_t{cfg.output_capacity} * sizeof(mem::Mem));
+}
+
 TEST(Pipeline, KernelBreakdownCoversModeledTime) {
   const auto base = seq::GenomeModel{.length = 3000}.generate(31);
   seq::MutationModel mut;
