@@ -148,43 +148,48 @@ simt::KernelTask match_kernel(simt::ThreadCtx& ctx, MatchShared& smem,
     co_await ctx.sync();
 
     // --- combine (Algorithm 3): 2·log2(τ) − 1 iterations --------------------
+    // A thread's group and hit range are fixed for the whole combine, so it
+    // knows in advance in which iterations it merges; it sleeps through the
+    // barriers of the others (ctx.sync(n)) and still passes all 2k − 1.
     if (P.combine) {
       const std::uint32_t k = util::floor_log2(tau);
+      const std::int64_t src = g;
       std::uint32_t d = 1;
+      std::uint32_t owed = 0;  // barriers this thread has yet to pass
       for (std::uint32_t iter = 1; iter <= 2 * k - 1; ++iter) {
-        const std::int64_t src = smem.group[tid];
-        std::int64_t c = src;
-        if (iter > k) c -= d;
-        if (c >= 0 && c % (2 * static_cast<std::int64_t>(d)) == 0) {
+        const std::int64_t c = iter > k ? src - d : src;
+        if (h0 < h1 && c >= 0 && (c & (2 * std::int64_t{d} - 1)) == 0 &&
+            src + d < tau) {
+          co_await ctx.sync(owed);
+          owed = 0;
           const std::uint64_t trgt = static_cast<std::uint64_t>(src) + d;
-          if (trgt < tau) {
-            const std::uint32_t tcnt = smem.seed_cnt[trgt];
-            const std::uint32_t toff = smem.seed_off[trgt];
-            for (std::uint32_t s = h0; s < h1; ++s) {
-              mem::Mem& mine = scratch[off + s];
-              if (mine.len == 0) continue;
-              for (std::uint32_t t = 0; t < tcnt; ++t) {
-                mem::Mem& other = scratch[toff + t];
-                if (other.len == 0) continue;
-                const std::int64_t dr = static_cast<std::int64_t>(other.r) -
-                                        static_cast<std::int64_t>(mine.r);
-                const std::int64_t dq = static_cast<std::int64_t>(other.q) -
-                                        static_cast<std::int64_t>(mine.q);
-                if (dr == dq && dr > 0 &&
-                    dr <= static_cast<std::int64_t>(mine.len)) {
-                  mine.len = std::max<std::uint32_t>(
-                      mine.len, static_cast<std::uint32_t>(dr) + other.len);
-                  other.len = 0;
-                }
+          const std::uint32_t tcnt = smem.seed_cnt[trgt];
+          const std::uint32_t toff = smem.seed_off[trgt];
+          for (std::uint32_t s = h0; s < h1; ++s) {
+            mem::Mem& mine = scratch[off + s];
+            if (mine.len == 0) continue;
+            for (std::uint32_t t = 0; t < tcnt; ++t) {
+              mem::Mem& other = scratch[toff + t];
+              if (other.len == 0) continue;
+              const std::int64_t dr = static_cast<std::int64_t>(other.r) -
+                                      static_cast<std::int64_t>(mine.r);
+              const std::int64_t dq = static_cast<std::int64_t>(other.q) -
+                                      static_cast<std::int64_t>(mine.q);
+              if (dr == dq && dr > 0 &&
+                  dr <= static_cast<std::int64_t>(mine.len)) {
+                mine.len = std::max<std::uint32_t>(
+                    mine.len, static_cast<std::uint32_t>(dr) + other.len);
+                other.len = 0;
               }
-              ctx.alu(3 * static_cast<std::uint64_t>(tcnt) + 2);
-              ctx.gmem_txn(tcnt);
             }
+            ctx.alu(3 * static_cast<std::uint64_t>(tcnt) + 2);
+            ctx.gmem_txn(tcnt);
           }
         }
-        co_await ctx.sync();
+        ++owed;  // this iteration's barrier
         d = (iter < k) ? d * 2 : d / 2;
       }
+      co_await ctx.sync(owed);
     }
 
     // --- expansion + in-block / out-block classification --------------------

@@ -25,36 +25,28 @@ void check_block_dim(const DeviceSpec& spec, std::uint32_t block_dim) {
   }
 }
 
-void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
-                  BlockResult& result) {
-  // Charge the phase (counters of finished threads included).
-  const CycleBreakdown terms = phase_cycle_terms(spec, slots);
+void finish_phase(const DeviceSpec& spec, BlockWorkspace& ws,
+                  const PhaseJoin& join, BlockResult& result) {
+  const CycleBreakdown terms = ws.fold.take_terms(spec);
   result.cycles += terms.total();
   result.cycle_terms += terms;
   ++result.phases;
-  for (const ThreadSlot& s : slots) result.work += s.phase;
 
-  // Execute the collective the live threads suspended on. Mixing barrier
-  // kinds within a block is a kernel bug (UB on real hardware); detect it.
-  PhaseOp op = PhaseOp::kNone;
-  for (const ThreadSlot& s : slots) {
-    if (s.done || s.pending == PhaseOp::kNone) continue;
-    if (op == PhaseOp::kNone) {
-      op = s.pending;
-    } else if (op != s.pending) {
-      throw std::logic_error(
-          "run_block: divergent collective (threads suspended on "
-          "different barrier kinds)");
-    }
+  // Mixing barrier kinds within a block is a kernel bug (UB on real
+  // hardware); detect it.
+  if (join.divergent) {
+    throw std::logic_error(
+        "run_block: divergent collective (threads suspended on "
+        "different barrier kinds)");
   }
-  if (op == PhaseOp::kScan) {
+  if (join.op == PhaseOp::kScan) {
     std::uint64_t running = 0;
-    for (ThreadSlot& s : slots) {
+    for (ThreadSlot& s : ws.slots) {
       if (s.done) continue;
       s.scan_result.exclusive = running;
       running += s.operand;
     }
-    for (ThreadSlot& s : slots) {
+    for (ThreadSlot& s : ws.slots) {
       if (!s.done) s.scan_result.total = running;
     }
     // A block scan costs ~2 log2(block) lock-step steps on real hardware;
@@ -62,7 +54,7 @@ void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
     const double scan_cycles =
         2.0 *
         static_cast<double>(
-            util::ceil_log2(static_cast<std::uint32_t>(slots.size()))) *
+            util::ceil_log2(static_cast<std::uint32_t>(ws.slots.size()))) *
         spec.cycles_per_shared;
     result.cycles += scan_cycles;
     result.cycle_terms.shared += scan_cycles;
@@ -79,7 +71,7 @@ std::size_t record_launch_span(const Device& dev, const LaunchConfig& cfg,
   const std::uint64_t resident = std::uint64_t{spec.sm_count} * per_sm;
   const std::uint64_t waves = util::ceil_div<std::uint64_t>(cfg.grid, resident);
   std::vector<obs::Attr> attrs;
-  attrs.reserve(16);
+  attrs.reserve(17);
   attrs.push_back({"grid", std::uint64_t{cfg.grid}});
   attrs.push_back({"block", std::uint64_t{cfg.block}});
   attrs.push_back({"waves", waves});
@@ -87,6 +79,7 @@ std::size_t record_launch_span(const Device& dev, const LaunchConfig& cfg,
                    static_cast<double>(cfg.grid) /
                        static_cast<double>(waves * resident)});
   attrs.push_back({"phases", stats.phases});
+  attrs.push_back({"resumes", stats.resumes});
   attrs.push_back({"work.alu", stats.work.alu});
   attrs.push_back({"work.global_bytes", stats.work.global_bytes});
   attrs.push_back({"work.txns", stats.work.txns});

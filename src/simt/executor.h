@@ -26,6 +26,7 @@ struct LaunchConfig {
 struct LaunchStats {
   double modeled_seconds = 0.0;
   std::uint64_t phases = 0;       ///< total barrier phases across blocks
+  std::uint64_t resumes = 0;      ///< coroutine resumes (host-cost figure)
   PhaseCounters work{};           ///< total accounted work
   CycleBreakdown cycle_terms{};   ///< per-term cycles summed over blocks
 };
@@ -35,6 +36,7 @@ struct LaunchStats {
 struct BlockResult {
   double cycles = 0.0;
   std::uint64_t phases = 0;
+  std::uint64_t resumes = 0;  ///< thread resumes; sleeping threads make none
   PhaseCounters work{};
   CycleBreakdown cycle_terms{};
 };
@@ -42,34 +44,57 @@ struct BlockResult {
 namespace detail {
 
 /// Per-worker scratch reused across run_block calls: thread slots, contexts
-/// (frames hold ThreadCtx&, so these must outlive each block run), and the
-/// KernelTask frame handles. Lives next to the worker's FrameArena; the
-/// accessor constructs the arena first so thread-exit destruction destroys
-/// the workspace (releasing any frames) before the arena.
+/// (frames hold ThreadCtx&, so these must outlive each block run), the
+/// KernelTask frame handles, and the phase's cost fold. Lives next to the
+/// worker's FrameArena; the accessor constructs the arena first so
+/// thread-exit destruction destroys the workspace (releasing any frames)
+/// before the arena.
 struct BlockWorkspace {
   std::vector<ThreadSlot> slots;
   std::vector<ThreadCtx> ctxs;
   std::vector<KernelTask> tasks;
+  PhaseFold fold;
 };
+
+/// The collective a phase ends on, joined over the threads waiting at its
+/// barrier (sleeping threads wait on kSync).
+struct PhaseJoin {
+  PhaseOp op = PhaseOp::kNone;
+  bool divergent = false;
+
+  void note(PhaseOp p) noexcept {
+    if (p == PhaseOp::kNone || p == op) return;
+    if (op == PhaseOp::kNone) {
+      op = p;
+    } else {
+      divergent = true;
+    }
+  }
+};
+
 BlockWorkspace& block_workspace();
 
 void check_block_dim(const DeviceSpec& spec, std::uint32_t block_dim);
 
-/// Charges the finished phase to the cost model and executes the collective
-/// the live threads suspended on (throws std::logic_error on divergent
-/// barrier kinds). The non-templated tail of run_block's phase loop.
-void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
-                  BlockResult& result);
+/// Charges the finished phase (folded in `ws.fold`) to the cost model and
+/// executes the collective the live threads wait on (throws
+/// std::logic_error on divergent barrier kinds). The non-templated tail of
+/// run_block's phase loop.
+void finish_phase(const DeviceSpec& spec, BlockWorkspace& ws,
+                  const PhaseJoin& join, BlockResult& result);
 
 }  // namespace detail
 
 /// Runs block `block_id`: one coroutine frame per logical thread, resumed
-/// phase-by-phase between barriers. `make_task` is any callable
-/// (ThreadCtx&) -> KernelTask — templated so launch() pays no std::function
-/// indirection per thread. Frames, slots, and contexts come from the
-/// worker's reusable workspace; on any exception (a throwing kernel or a
-/// divergent collective) every coroutine frame — including suspended
-/// siblings — is destroyed before the exception leaves this function.
+/// phase-by-phase between barriers. A thread sleeping through barriers
+/// (ThreadCtx::sync(n)) is not resumed in those phases; a finished thread
+/// is charged only for the phase in which it returned. `make_task` is any
+/// callable (ThreadCtx&) -> KernelTask — templated so launch() pays no
+/// std::function indirection per thread. Frames, slots, and contexts come
+/// from the worker's reusable workspace; on any exception (a throwing
+/// kernel or a divergent collective) every coroutine frame — including
+/// suspended siblings — is destroyed before the exception leaves this
+/// function.
 template <typename MakeTask>
 BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
                       std::uint32_t grid_dim, std::uint32_t block_dim,
@@ -87,6 +112,7 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
   ws.slots.assign(block_dim, ThreadSlot{});
   ws.ctxs.reserve(block_dim);
   ws.tasks.reserve(block_dim);
+  ws.fold.reset(block_dim, spec.warp_size);
   arena.maybe_reset();
 
   BlockResult result;
@@ -98,23 +124,35 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
 
     std::uint32_t alive = block_dim;
     while (alive > 0) {
-      // Run every live thread to its next suspension point.
+      // Run every awake live thread to its next suspension point, folding
+      // its counters into the phase as it returns.
+      detail::PhaseJoin join;
       for (std::uint32_t t = 0; t < block_dim; ++t) {
         ThreadSlot& slot = ws.slots[t];
         if (slot.done) continue;
+        if (slot.sleep > 0) {
+          --slot.sleep;
+          join.note(PhaseOp::kSync);
+          continue;
+        }
         slot.pending = PhaseOp::kNone;
         slot.phase = PhaseCounters{};
         auto handle = ws.tasks[t].handle();
         handle.resume();
+        ++result.resumes;
+        ws.fold.add(t, slot.phase);
+        result.work += slot.phase;
         if (handle.done()) {
           slot.done = true;
           --alive;
           if (handle.promise().exception) {
             std::rethrow_exception(handle.promise().exception);
           }
+        } else {
+          join.note(slot.pending);
         }
       }
-      detail::finish_phase(spec, ws.slots, result);
+      detail::finish_phase(spec, ws, join, result);
     }
   } catch (...) {
     cleanup();
@@ -158,6 +196,7 @@ LaunchStats launch(Device& dev, const LaunchConfig& cfg, Fn&& fn,
   LaunchStats stats;
   for (const BlockResult& r : results) {
     stats.phases += r.phases;
+    stats.resumes += r.resumes;
     stats.work += r.work;
     stats.cycle_terms += r.cycle_terms;
   }

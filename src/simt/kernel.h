@@ -3,10 +3,19 @@
 // A kernel is a plain function returning KernelTask and taking a ThreadCtx&
 // (plus a shared-memory struct reference and arbitrary parameters). One
 // coroutine frame per logical device thread; `co_await ctx.sync()` is
-// __syncthreads(). The block scheduler (executor.h) resumes every live
-// thread once per *phase* (the code between two barriers), performs any
-// collective operation the threads requested, charges the phase to the cost
-// model, and repeats.
+// __syncthreads(). The block scheduler (executor.h) resumes every awake,
+// live thread once per *phase* (the code between two barriers), performs
+// any collective operation the threads requested, charges the phase to the
+// cost model, and repeats.
+//
+// Sleeping through barriers: `co_await ctx.sync(n)` is n back-to-back
+// __syncthreads() with no work between them. The thread suspends once and
+// the scheduler passes it through the other n - 1 barriers without resuming
+// it: in those phases its counters are zero and it counts as waiting on a
+// plain barrier (so a sibling's scan_add there is still a divergent
+// collective). On hardware an idle lane costs nothing at a barrier; here a
+// resume costs host time, so kernels whose idle rounds are known in advance
+// (the Algorithm 3 combine) sleep through them. sync(0) is a no-op.
 //
 // Why coroutines: barrier semantics need every thread to suspend mid-body
 // with its locals intact. Coroutine frames give exactly that without a
@@ -62,6 +71,7 @@ struct ThreadSlot {
   std::uint64_t operand = 0;
   ScanResult scan_result{};
   bool done = false;
+  std::uint32_t sleep = 0;  ///< barriers still to pass without resuming
   PhaseCounters phase;   ///< counters for the current phase
 };
 
@@ -152,14 +162,21 @@ class ThreadCtx {
   // --- barriers & collectives ----------------------------------------------
   struct SyncAwaiter {
     ThreadSlot* slot;
-    bool await_ready() const noexcept { return false; }
+    std::uint32_t barriers;
+    bool await_ready() const noexcept { return barriers == 0; }
     void await_suspend(std::coroutine_handle<>) const noexcept {
       slot->pending = PhaseOp::kSync;
+      slot->sleep = barriers - 1;
     }
     void await_resume() const noexcept {}
   };
-  /// __syncthreads(). All live threads of the block must reach it.
-  [[nodiscard]] SyncAwaiter sync() const noexcept { return {slot_}; }
+  /// `n` back-to-back __syncthreads() (default one). All live threads of the
+  /// block must reach each barrier; the thread sleeps through all but the
+  /// first without being resumed. sync(0) passes no barrier and does not
+  /// suspend.
+  [[nodiscard]] SyncAwaiter sync(std::uint32_t n = 1) const noexcept {
+    return {slot_, n};
+  }
 
   struct ScanAwaiter {
     ThreadSlot* slot;

@@ -4,34 +4,40 @@
 
 namespace gm::simt {
 
-CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
-                                 std::span<const ThreadSlot> slots) {
-  const std::uint32_t warp = spec.warp_size;
-  double compute = 0.0, shared = 0.0;
-  std::uint64_t total_atomics = 0;
-  double latency = 0.0;
-  for (std::size_t w = 0; w < slots.size(); w += warp) {
-    std::uint64_t warp_alu = 0, warp_shared = 0, warp_txn = 0;
-    const std::size_t end = std::min(slots.size(), w + warp);
-    for (std::size_t t = w; t < end; ++t) {
-      warp_alu = std::max(warp_alu, slots[t].phase.alu);
-      warp_shared = std::max(warp_shared, slots[t].phase.shared_ops);
-      warp_txn = std::max(warp_txn, slots[t].phase.txns);
-      total_atomics += slots[t].phase.atomics;
-    }
-    compute += static_cast<double>(warp_alu);
-    shared += static_cast<double>(warp_shared);
-    latency += static_cast<double>(warp_txn);
+void PhaseFold::reset(std::uint32_t block_dim, std::uint32_t warp_size) {
+  warp_size_ = warp_size;
+  warps_.assign((block_dim + warp_size - 1) / warp_size, WarpMax{});
+  atomics_ = 0;
+}
+
+CycleBreakdown PhaseFold::take_terms(const DeviceSpec& spec) noexcept {
+  double compute = 0.0, shared = 0.0, latency = 0.0;
+  for (WarpMax& w : warps_) {
+    compute += static_cast<double>(w.alu);
+    shared += static_cast<double>(w.shared_ops);
+    latency += static_cast<double>(w.txns);
+    w = WarpMax{};
   }
-  const double warp_ipc =
-      static_cast<double>(spec.cores_per_sm) / static_cast<double>(warp);
+  const double warp_ipc = static_cast<double>(spec.cores_per_sm) /
+                          static_cast<double>(spec.warp_size);
   CycleBreakdown terms;
   terms.compute = compute * spec.cycles_per_alu / warp_ipc;
   terms.shared = shared * spec.cycles_per_shared;
   terms.latency = latency * spec.cycles_per_txn;
-  terms.atomics = static_cast<double>(total_atomics) * spec.cycles_per_atomic;
+  terms.atomics = static_cast<double>(atomics_) * spec.cycles_per_atomic;
   terms.barrier = spec.cycles_per_barrier;
+  atomics_ = 0;
   return terms;
+}
+
+CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
+                                 std::span<const ThreadSlot> slots) {
+  PhaseFold fold;
+  fold.reset(static_cast<std::uint32_t>(slots.size()), spec.warp_size);
+  for (std::size_t t = 0; t < slots.size(); ++t) {
+    fold.add(static_cast<std::uint32_t>(t), slots[t].phase);
+  }
+  return fold.take_terms(spec);
 }
 
 double phase_cycles(const DeviceSpec& spec, std::span<const ThreadSlot> slots) {

@@ -34,8 +34,10 @@
 // its slowest block; DRAM is shared by the whole device.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "simt/device.h"
 #include "simt/kernel.h"
@@ -63,6 +65,37 @@ struct CycleBreakdown {
     barrier += o.barrier;
     return *this;
   }
+};
+
+/// One-pass fold of a phase's cost terms. add() each thread that ran in the
+/// phase, in any order; take_terms() then sums the per-warp maxima in warp
+/// order. Threads that did not run add nothing, exactly as lanes with zero
+/// counters add 0.0, so the terms are bit-identical to a walk over every
+/// lane of the block.
+class PhaseFold {
+ public:
+  /// Sizes the fold for `block_dim` threads in warps of `warp_size` and
+  /// clears it.
+  void reset(std::uint32_t block_dim, std::uint32_t warp_size);
+
+  void add(std::uint32_t tid, const PhaseCounters& c) noexcept {
+    WarpMax& w = warps_[tid / warp_size_];
+    w.alu = std::max(w.alu, c.alu);
+    w.shared_ops = std::max(w.shared_ops, c.shared_ops);
+    w.txns = std::max(w.txns, c.txns);
+    atomics_ += c.atomics;
+  }
+
+  /// The phase's per-term cycles; clears the fold for the next phase.
+  CycleBreakdown take_terms(const DeviceSpec& spec) noexcept;
+
+ private:
+  struct WarpMax {
+    std::uint64_t alu = 0, shared_ops = 0, txns = 0;
+  };
+  std::vector<WarpMax> warps_;
+  std::uint32_t warp_size_ = 1;
+  std::uint64_t atomics_ = 0;
 };
 
 /// Per-term cycles one block spends in the phase described by `slots` (one

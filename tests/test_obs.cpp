@@ -3,6 +3,7 @@
 // both under the same parallel substrate the pipeline uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "serve/service.h"
+#include "simt/executor.h"
 #include "util/parallel.h"
 
 namespace gm {
@@ -227,6 +229,42 @@ TEST(Metrics, PublishingIsNoOpWhenDisabled) {
   serve::publish_service_stats(serve::ServiceStats{});
   EXPECT_FALSE(obs::Registry::global().metrics().has_gauge("run.mem_count"));
   EXPECT_FALSE(obs::Registry::global().metrics().has_gauge("serve.submitted"));
+}
+
+simt::KernelTask half_asleep_kernel(simt::ThreadCtx& ctx, simt::NoShared&) {
+  if (ctx.thread_id() % 2 == 1) {
+    co_await ctx.sync(3);
+  } else {
+    for (int i = 0; i < 3; ++i) co_await ctx.sync();
+  }
+}
+
+TEST(Trace, KernelSpanCountsCoroutineResumes) {
+  ObsTestGuard guard;
+  simt::Device dev;
+  simt::LaunchConfig cfg;
+  cfg.grid = 2;
+  cfg.block = 8;
+  cfg.label = "half-asleep";
+  const simt::LaunchStats stats =
+      simt::launch<simt::NoShared>(dev, cfg, half_asleep_kernel);
+  // Per block: 4 awake threads resume 4 times, 4 sleepers twice; 4 phases.
+  EXPECT_EQ(stats.resumes, 2u * (4u * 4u + 4u * 2u));
+  EXPECT_EQ(stats.phases, 2u * 4u);
+  const auto evs = obs::Registry::global().trace().events();
+  const auto span = std::find_if(evs.begin(), evs.end(), [](const auto& e) {
+    return e.name == "half-asleep";
+  });
+  ASSERT_NE(span, evs.end());
+  const auto attr = [&](const std::string& key) -> std::uint64_t {
+    for (const obs::Attr& a : span->attrs) {
+      if (a.key == key) return std::get<std::uint64_t>(a.value);
+    }
+    ADD_FAILURE() << "missing attr " << key;
+    return 0;
+  };
+  EXPECT_EQ(attr("resumes"), stats.resumes);
+  EXPECT_EQ(attr("phases"), stats.phases);
 }
 
 TEST(Registry, ThreadSafeUnderParallelForChunked) {

@@ -162,6 +162,126 @@ TEST(Executor, DivergentCollectiveDetected) {
                std::logic_error);
 }
 
+// --- sleeping through barriers (ThreadCtx::sync(n)) -------------------------
+
+/// Threads with tid % 3 == 0 pass five barriers without work in between;
+/// the others work in each of those phases. `sleep` picks sync(5) or five
+/// sync() calls for the idle threads.
+KernelTask idle_rounds_kernel(ThreadCtx& ctx, bool sleep) {
+  const std::uint32_t tid = ctx.thread_id();
+  ctx.alu(tid + 1);
+  ctx.smem(tid % 5);
+  if (tid % 3 == 0) {
+    if (sleep) {
+      co_await ctx.sync(5);
+    } else {
+      for (int i = 0; i < 5; ++i) co_await ctx.sync();
+    }
+  } else {
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      ctx.alu(i * tid);
+      ctx.gmem_txn(i % 3);
+      ctx.atomic_op(i & 1);
+      co_await ctx.sync();
+    }
+  }
+  ctx.alu(7);
+  ctx.atomic_op();
+}
+
+simt::BlockResult run_idle_rounds(bool sleep) {
+  return simt::run_block(DeviceSpec::k20c(), 0, 1, 96,
+                         [&](ThreadCtx& ctx) -> KernelTask {
+                           return idle_rounds_kernel(ctx, sleep);
+                         });
+}
+
+TEST(Executor, SyncNIsBitEqualToNSeparateBarriers) {
+  const simt::BlockResult awake = run_idle_rounds(false);
+  const simt::BlockResult asleep = run_idle_rounds(true);
+  EXPECT_EQ(asleep.phases, awake.phases);
+  EXPECT_EQ(asleep.phases, 6u);
+  EXPECT_EQ(asleep.cycles, awake.cycles);  // bit-equal, not just near
+  EXPECT_EQ(asleep.cycle_terms.compute, awake.cycle_terms.compute);
+  EXPECT_EQ(asleep.cycle_terms.shared, awake.cycle_terms.shared);
+  EXPECT_EQ(asleep.cycle_terms.latency, awake.cycle_terms.latency);
+  EXPECT_EQ(asleep.cycle_terms.atomics, awake.cycle_terms.atomics);
+  EXPECT_EQ(asleep.cycle_terms.barrier, awake.cycle_terms.barrier);
+  EXPECT_EQ(asleep.work.alu, awake.work.alu);
+  EXPECT_EQ(asleep.work.global_bytes, awake.work.global_bytes);
+  EXPECT_EQ(asleep.work.txns, awake.work.txns);
+  EXPECT_EQ(asleep.work.shared_ops, awake.work.shared_ops);
+  EXPECT_EQ(asleep.work.atomics, awake.work.atomics);
+  // 96 threads x 6 resumes awake; the 32 idle ones resume twice asleep.
+  EXPECT_EQ(awake.resumes, 96u * 6u);
+  EXPECT_EQ(asleep.resumes, 64u * 6u + 32u * 2u);
+}
+
+KernelTask sleep_vs_scan_kernel(ThreadCtx& ctx, NoShared&) {
+  if (ctx.thread_id() == 0) {
+    co_await ctx.sync(3);
+  } else {
+    co_await ctx.sync();
+    co_await ctx.scan_add(1);  // thread 0 is asleep at a plain barrier here
+    co_await ctx.sync();
+  }
+}
+
+TEST(Executor, SleepingThreadPlusSiblingScanIsDivergent) {
+  Device dev;
+  LaunchConfig cfg;
+  cfg.grid = 1;
+  cfg.block = 8;
+  EXPECT_THROW(simt::launch<NoShared>(dev, cfg, sleep_vs_scan_kernel),
+               std::logic_error);
+}
+
+KernelTask sync_zero_kernel(ThreadCtx& ctx, NoShared&) {
+  ctx.alu(1);
+  co_await ctx.sync(0);  // passes no barrier, does not suspend
+  ctx.alu(1);
+  co_await ctx.sync();
+  ctx.alu(1);
+}
+
+TEST(Executor, SyncZeroIsANoOp) {
+  // Were sync(0) to suspend with a wrapped-around sleep count, the thread
+  // would never wake and the block would not finish.
+  NoShared smem;
+  const simt::BlockResult r = simt::run_block(
+      DeviceSpec::k20c(), 0, 1, 32, [&](ThreadCtx& ctx) -> KernelTask {
+        return sync_zero_kernel(ctx, smem);
+      });
+  EXPECT_EQ(r.phases, 2u);
+  EXPECT_EQ(r.resumes, 64u);
+  EXPECT_EQ(r.work.alu, 96u);
+}
+
+KernelTask early_return_kernel(ThreadCtx& ctx, NoShared&) {
+  if (ctx.thread_id() == 0) {
+    ctx.alu(1000);
+    co_return;
+  }
+  for (int i = 0; i < 3; ++i) co_await ctx.sync();
+}
+
+TEST(Executor, FinishedThreadIsChargedOnlyForItsLastPhase) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  NoShared smem;
+  const simt::BlockResult r =
+      simt::run_block(spec, 0, 1, 32, [&](ThreadCtx& ctx) -> KernelTask {
+        return early_return_kernel(ctx, smem);
+      });
+  EXPECT_EQ(r.phases, 4u);
+  EXPECT_EQ(r.work.alu, 1000u);
+  const double warp_ipc = static_cast<double>(spec.cores_per_sm) /
+                          static_cast<double>(spec.warp_size);
+  EXPECT_DOUBLE_EQ(r.cycle_terms.compute,
+                   1000.0 * spec.cycles_per_alu / warp_ipc);
+  EXPECT_DOUBLE_EQ(r.cycles,
+                   r.cycle_terms.compute + 4 * spec.cycles_per_barrier);
+}
+
 KernelTask throwing_kernel(ThreadCtx& ctx, NoShared&) {
   if (ctx.thread_id() == 3) throw std::runtime_error("kernel bug");
   co_return;
