@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
-
-#include <fstream>
 
 #include "obs/registry.h"
 #include "util/cli.h"
@@ -86,6 +85,37 @@ std::size_t default_scale(int argc, char** argv) {
     return static_cast<std::size_t>(std::max(1l, std::strtol(env, nullptr, 10)));
   }
   return 2;
+}
+
+int finish_ratio_rig(const std::string& path, const std::string& schema,
+                     const std::vector<RatioRow>& rows, bool identical) {
+  std::ofstream f(path);
+  f.precision(17);
+  f << "{\n  \"schema\": \"" << schema << "\",\n  \"scenarios\": [\n";
+  bool pass = identical;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const RatioRow& r = rows[i];
+    f << "    {\"name\": \"" << r.name << "\", \"cold_ns\": " << r.cold_ns
+      << ", \"hot_ns\": " << r.hot_ns << ", \"speedup\": " << r.speedup()
+      << ", \"min_speedup\": " << r.min_speedup << ", \"mems\": " << r.mems
+      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    const bool gated = r.min_speedup > 0.0;
+    const bool ok = !gated || r.speedup() >= r.min_speedup;
+    pass = pass && ok;
+    std::cout << "  " << (ok ? "ok  " : "FAIL") << " " << r.name << ": cold "
+              << r.cold_ns / 1e6 << " ms, hot " << r.hot_ns / 1e6
+              << " ms -> " << r.speedup() << "x"
+              << (gated ? " (floor " + std::to_string(r.min_speedup) + "x)"
+                        : " (informational)")
+              << ", mems " << r.mems << "\n";
+  }
+  f << "  ]\n}\n";
+  std::cout << "wrote " << path << " (" << rows.size() << " scenarios)\n";
+  if (!identical) {
+    std::cout << "FAILED: MEM sets are not bit-identical across the timed "
+                 "paths\n";
+  }
+  return pass ? 0 : 1;
 }
 
 bool observability_from_args(int argc, char** argv) {

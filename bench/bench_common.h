@@ -1,9 +1,12 @@
 // Shared harness for the paper-reproduction benchmarks: the nine
 // reference/query/L configurations of Tables III & IV (scaled per
-// DESIGN.md), tool construction, and uniform reporting.
+// DESIGN.md), tool construction, uniform reporting, and the self-relative
+// ratio rigs' row type, timer and JSON report.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "mem/finder.h"
 #include "seq/synthetic.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 namespace gm::bench {
 
@@ -59,5 +63,40 @@ std::size_t default_scale(int argc, char** argv);
 /// this (via default_scale) so any paper table can be re-run with a full
 /// trace without recompiling.
 bool observability_from_args(int argc, char** argv);
+
+/// One scenario of a self-relative ratio rig (bench_host_wall,
+/// bench_index_io, bench_copmem, bench_longmem): the slow and the fast side
+/// of one comparison, timed in the same process on the same data, so their
+/// ratio is stable across machines where absolute wall time is not.
+struct RatioRow {
+  std::string name;
+  double cold_ns = 0.0;      ///< the slow side of the ratio
+  double hot_ns = 0.0;       ///< the fast side
+  double min_speedup = 0.0;  ///< 0 = informational (not gated)
+  std::uint64_t mems = 0;    ///< deterministic output count (identity check)
+
+  double speedup() const { return cold_ns / hot_ns; }
+};
+
+/// Best-of-`reps` wall time of fn() in nanoseconds, after one untimed
+/// warm-up.
+template <typename Fn>
+double time_best_ns(int reps, Fn&& fn) {
+  fn();
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    util::Timer t;
+    fn();
+    best = std::min(best, t.seconds() * 1e9);
+  }
+  return best;
+}
+
+/// Writes `rows` to `path` as a `schema` document for
+/// scripts/bench_check.py and prints each row against its floor. Returns
+/// the rig's exit code: 1 when a gated row misses its floor or `identical`
+/// (the caller's MEM bit-identity check) is false, else 0.
+int finish_ratio_rig(const std::string& path, const std::string& schema,
+                     const std::vector<RatioRow>& rows, bool identical);
 
 }  // namespace gm::bench

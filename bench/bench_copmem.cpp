@@ -28,9 +28,7 @@
 // extract bit-identical MEM sets regardless of any baseline. Raw
 // nanoseconds are recorded for trend inspection but never gated.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,49 +38,15 @@
 #include "seq/synthetic.h"
 #include "store/loaded_index.h"
 #include "util/cli.h"
-#include "util/timer.h"
 
 using namespace gm;
 
 namespace {
 
-struct Row {
-  std::string name;
-  double cold_ns = 0.0;      ///< baseline pipeline e2e (index build + match)
-  double hot_ns = 0.0;       ///< copmem fast-index e2e
-  double min_speedup = 0.0;  ///< 0 = informational (not gated)
-  std::uint64_t mems = 0;    ///< deterministic output count (identity check)
-
-  double speedup() const { return cold_ns / hot_ns; }
-};
-
-/// Best-of-`reps` wall time of fn(), after one untimed warmup.
-template <typename Fn>
-double time_best_ns(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    util::Timer t;
-    fn();
-    best = std::min(best, t.seconds() * 1e9);
-  }
-  return best;
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream f(path);
-  f.precision(17);
-  f << "{\n  \"schema\": \"gpumem-bench-copmem-v1\",\n"
-    << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    f << "    {\"name\": \"" << r.name << "\", \"cold_ns\": " << r.cold_ns
-      << ", \"hot_ns\": " << r.hot_ns << ", \"speedup\": " << r.speedup()
-      << ", \"min_speedup\": " << r.min_speedup << ", \"mems\": " << r.mems
-      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n}\n";
-}
+/// The floor every gated SA-IS/copmem row carries.
+/// No flag: bench_check.py fails any floor that differs from the
+/// committed baseline's per-row min_speedup.
+constexpr double kFloor = 3.0;
 
 }  // namespace
 
@@ -91,9 +55,8 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::string out = cli.get("out", "BENCH_copmem.json");
   const int reps = static_cast<int>(cli.get_int("reps", 3));
-  const double floor = cli.get_double("floor", 3.0);
 
-  std::vector<Row> rows;
+  std::vector<bench::RatioRow> rows;
   bool identical = true;
 
   for (const bench::PaperConfig& pc : bench::paper_configs()) {
@@ -106,7 +69,7 @@ int main(int argc, char** argv) {
     // The SA-IS side repeats a full suffix-array construction per rep, so
     // it gets fewer reps; best-of still removes scheduling noise.
     std::vector<mem::Mem> sais_mems;
-    const double sais_ns = time_best_ns(std::max(1, reps / 3), [&] {
+    const double sais_ns = bench::time_best_ns(std::max(1, reps / 3), [&] {
       mem::EssaMemFinder essa;
       mem::FinderOptions opt;
       opt.min_length = pc.min_len;
@@ -116,10 +79,10 @@ int main(int argc, char** argv) {
     });
 
     std::vector<mem::Mem> native_mems, hot_mems;
-    const double native_ns = time_best_ns(reps, [&] {
+    const double native_ns = bench::time_best_ns(reps, [&] {
       native_mems = engine.run(data.reference, data.query).mems;
     });
-    const double hot_ns = time_best_ns(reps, [&] {
+    const double hot_ns = bench::time_best_ns(reps, [&] {
       mem::FinderOptions opt;
       opt.min_length = cfg.min_length;
       hot_mems = store::open_host_finder("copmem", data.reference, opt,
@@ -134,29 +97,11 @@ int main(int argc, char** argv) {
                 << native_mems.size() << ")\n";
     }
 
-    rows.push_back({name, sais_ns, hot_ns, floor, hot_mems.size()});
+    rows.push_back({name, sais_ns, hot_ns, kFloor, hot_mems.size()});
     rows.push_back({name + " native", native_ns, hot_ns, 0.0,
                     hot_mems.size()});
   }
 
-  write_json(out, rows);
-  bool pass = identical;
-  for (const Row& r : rows) {
-    const bool gated = r.min_speedup > 0.0;
-    const bool ok = !gated || r.speedup() >= r.min_speedup;
-    pass = pass && ok;
-    std::cout << "  " << (ok ? "ok  " : "FAIL") << " " << r.name << ": cold "
-              << r.cold_ns / 1e6 << " ms, hot " << r.hot_ns / 1e6
-              << " ms -> " << r.speedup() << "x"
-              << (gated ? " (floor " + std::to_string(r.min_speedup) + "x)"
-                        : " (informational)")
-              << ", mems " << r.mems << "\n";
-  }
-  std::cout << "wrote " << out << " (" << rows.size() << " scenarios)\n";
-  if (!identical) {
-    std::cout << "FAILED: MEM sets are not bit-identical across the SA-IS, "
-                 "native, and copmem paths\n";
-  }
-  if (!pass) return 1;
-  return 0;
+  return bench::finish_ratio_rig(out, "gpumem-bench-copmem-v1", rows,
+                                 identical);
 }

@@ -1,9 +1,9 @@
 // Host-throughput regression rig: measures wall nanoseconds of the host hot
 // paths (match extension, out-tile stitch, index build, end-to-end runs)
 // twice — once with the byte-at-a-time scalar LCE reference
-// (seq::LceMode::kScalar) and once with the word-parallel packed path
-// (kWord, the shipping default) — and emits BENCH_hostwall.json for
-// scripts/bench_check.py.
+// (seq::LceMode::kScalar, the row's cold_ns) and once with the
+// word-parallel packed path (kWord, the shipping default; hot_ns) — and
+// emits BENCH_hostwall.json for scripts/bench_check.py.
 //
 // The gated quantity is the *self-relative* scalar/packed speedup ratio,
 // which is stable across machines (both measurements run in the same
@@ -17,7 +17,6 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,48 +27,24 @@
 #include "seq/packed.h"
 #include "seq/synthetic.h"
 #include "util/cli.h"
-#include "util/timer.h"
 
 using namespace gm;
 
 namespace {
 
-struct Row {
-  std::string name;
-  double scalar_ns = 0.0;
-  double packed_ns = 0.0;
-  double min_speedup = 0.0;  ///< 0 = informational (not gated)
-  std::uint64_t mems = 0;    ///< deterministic output count (identity check)
-
-  double speedup() const { return scalar_ns / packed_ns; }
-};
-
-/// Best-of-`reps` wall time of fn(), after one untimed warmup.
+/// Runs `fn` under both LCE modes (cold = scalar, hot = packed); verifies
+/// the modes' `out` vectors are bit-identical, records the pair of timings.
 template <typename Fn>
-double time_best_ns(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    util::Timer t;
-    fn();
-    best = std::min(best, t.seconds() * 1e9);
-  }
-  return best;
-}
-
-/// Runs `fn` under both LCE modes; verifies the modes' `out` vectors are
-/// bit-identical, records the pair of timings.
-template <typename Fn>
-Row measure(const std::string& name, double min_speedup, int reps, Fn&& fn,
-            bool& identical) {
+bench::RatioRow measure(const std::string& name, double min_speedup, int reps,
+                        Fn&& fn, bool& identical) {
   std::vector<mem::Mem> scalar_out, packed_out;
   seq::set_lce_mode(seq::LceMode::kScalar);
-  const double scalar_ns = time_best_ns(reps, [&] {
+  const double scalar_ns = bench::time_best_ns(reps, [&] {
     scalar_out.clear();
     fn(scalar_out);
   });
   seq::set_lce_mode(seq::LceMode::kWord);
-  const double packed_ns = time_best_ns(reps, [&] {
+  const double packed_ns = bench::time_best_ns(reps, [&] {
     packed_out.clear();
     fn(packed_out);
   });
@@ -79,21 +54,6 @@ Row measure(const std::string& name, double min_speedup, int reps, Fn&& fn,
               << scalar_out.size() << " vs " << packed_out.size() << ")\n";
   }
   return {name, scalar_ns, packed_ns, min_speedup, packed_out.size()};
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream f(path);
-  f.precision(17);
-  f << "{\n  \"schema\": \"gpumem-bench-hostwall-v1\",\n  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    f << "    {\"name\": \"" << r.name << "\", \"scalar_ns\": " << r.scalar_ns
-      << ", \"packed_ns\": " << r.packed_ns
-      << ", \"speedup\": " << r.speedup()
-      << ", \"min_speedup\": " << r.min_speedup << ", \"mems\": " << r.mems
-      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n}\n";
 }
 
 }  // namespace
@@ -154,13 +114,13 @@ int main(int argc, char** argv) {
 
     obs::Registry::global().set_enabled(false);
     std::vector<mem::Mem> off_mems, on_mems;
-    const double off_ns = time_best_ns(reps, [&] {
+    const double off_ns = bench::time_best_ns(reps, [&] {
       off_mems = engine.run_native_prebuilt(ref, query, prebuilt).mems;
     });
     obs::Registry::global().reset();
     obs::Registry::global().set_enabled(true);
     std::size_t spans = 0;
-    const double on_ns = time_best_ns(reps, [&] {
+    const double on_ns = bench::time_best_ns(reps, [&] {
       // Clearing per rep bounds trace growth; its cost is charged to the
       // obs side, keeping the comparison conservative.
       obs::Registry::global().trace().clear();
@@ -199,7 +159,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<Row> rows;
+  std::vector<bench::RatioRow> rows;
   bool identical = true;
 
   // --- match-extend: bidirectional expansion of sampled candidates --------
@@ -287,23 +247,6 @@ int main(int argc, char** argv) {
         identical));
   }
 
-  write_json(out, rows);
-  bool pass = identical;
-  for (const Row& r : rows) {
-    const bool gated = r.min_speedup > 0.0;
-    const bool ok = !gated || r.speedup() >= r.min_speedup;
-    pass = pass && ok;
-    std::cout << "  " << (ok ? "ok  " : "FAIL") << " " << r.name
-              << ": scalar " << r.scalar_ns / 1e6 << " ms, packed "
-              << r.packed_ns / 1e6 << " ms -> " << r.speedup() << "x"
-              << (gated ? " (floor " + std::to_string(r.min_speedup) + "x)"
-                        : " (informational)")
-              << ", mems " << r.mems << "\n";
-  }
-  std::cout << "wrote " << out << " (" << rows.size() << " scenarios)\n";
-  if (!identical) {
-    std::cout << "FAILED: scalar and packed outputs are not bit-identical\n";
-  }
-  if (!pass) return 1;
-  return 0;
+  return bench::finish_ratio_rig(out, "gpumem-bench-hostwall-v1", rows,
+                                 identical);
 }

@@ -25,9 +25,7 @@
 // inspection but never gated.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,53 +41,8 @@
 #include "store/artifact.h"
 #include "store/loaded_index.h"
 #include "util/cli.h"
-#include "util/timer.h"
 
 using namespace gm;
-
-namespace {
-
-struct Row {
-  std::string name;
-  double cold_ns = 0.0;      ///< the slow side of the ratio
-  double hot_ns = 0.0;       ///< the fast side
-  double min_speedup = 0.0;  ///< 0 = informational (not gated)
-  std::uint64_t mems = 0;    ///< deterministic output count (identity check)
-
-  double speedup() const { return cold_ns / hot_ns; }
-};
-
-/// Best-of-`reps` wall time of fn(), after one untimed warmup.
-template <typename Fn>
-double time_best_ns(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    util::Timer t;
-    fn();
-    best = std::min(best, t.seconds() * 1e9);
-  }
-  return best;
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                std::uint64_t artifact_bytes) {
-  std::ofstream f(path);
-  f.precision(17);
-  f << "{\n  \"schema\": \"gpumem-bench-indexio-v1\",\n"
-    << "  \"artifact_bytes\": " << artifact_bytes << ",\n"
-    << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    f << "    {\"name\": \"" << r.name << "\", \"cold_ns\": " << r.cold_ns
-      << ", \"hot_ns\": " << r.hot_ns << ", \"speedup\": " << r.speedup()
-      << ", \"min_speedup\": " << r.min_speedup << ", \"mems\": " << r.mems
-      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n}\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::size_t scale = bench::default_scale(argc, argv);
@@ -125,7 +78,7 @@ int main(int argc, char** argv) {
   const auto image = store::build_artifact(ref, cfg, opt);
   store::write_artifact_file(path, image);
 
-  std::vector<Row> rows;
+  std::vector<bench::RatioRow> rows;
   bool identical = true;
 
   // --- cold-build vs artifact-load ----------------------------------------
@@ -133,7 +86,7 @@ int main(int argc, char** argv) {
   // produce the artifact being loaded; the hot side pays mmap + full
   // verification + native-row materialization — the honest end-to-end cost
   // of reaching the same ready-to-serve state.
-  const double build_ns = time_best_ns(reps, [&] {
+  const double build_ns = bench::time_best_ns(reps, [&] {
     const auto idx = engine.build_native_index(ref);
     if (idx.rows.empty()) std::abort();
     const auto sa = index::build_suffix_array(ref);
@@ -145,7 +98,7 @@ int main(int argc, char** argv) {
     if (fm.rows() == 0) std::abort();
   });
   std::uint64_t load_mems = 0;
-  const double load_ns = time_best_ns(reps, [&] {
+  const double load_ns = bench::time_best_ns(reps, [&] {
     const store::LoadedIndex loaded(store::MappedArtifact::open_file(path));
     const auto idx = loaded.native_index();
     if (idx.rows.empty()) std::abort();
@@ -185,37 +138,20 @@ int main(int argc, char** argv) {
     store::write_artifact_file(
         (std::filesystem::path(dir) / "tenant.gmidx").string(), rimage);
 
-    const double cold_ns = time_best_ns(std::max(1, reps / 2), [&] {
+    const double cold_ns = bench::time_best_ns(std::max(1, reps / 2), [&] {
       serve::ReferenceRegistry reg(dir, base);
       if (reg.acquire("tenant") == nullptr) std::abort();
     });
     serve::ReferenceRegistry reg(dir, base);
     (void)reg.acquire("tenant");
-    const double hit_ns = time_best_ns(reps, [&] {
+    const double hit_ns = bench::time_best_ns(reps, [&] {
       if (reg.acquire("tenant") == nullptr) std::abort();
     });
     // mems = 0: this scenario has no extraction output to pin.
     rows.push_back({"registry-warm-hit", cold_ns, hit_ns, 0.0, 0});
   }
 
-  write_json(out, rows, image.size());
-  bool pass = identical;
-  for (const Row& r : rows) {
-    const bool gated = r.min_speedup > 0.0;
-    const bool ok = !gated || r.speedup() >= r.min_speedup;
-    pass = pass && ok;
-    std::cout << "  " << (ok ? "ok  " : "FAIL") << " " << r.name << ": cold "
-              << r.cold_ns / 1e6 << " ms, hot " << r.hot_ns / 1e6
-              << " ms -> " << r.speedup() << "x"
-              << (gated ? " (floor " + std::to_string(r.min_speedup) + "x)"
-                        : " (informational)")
-              << ", mems " << r.mems << "\n";
-  }
-  std::cout << "wrote " << out << " (" << rows.size() << " scenarios, "
-            << "artifact " << image.size() << " bytes)\n";
-  if (!identical) {
-    std::cout << "FAILED: loaded-index MEMs are not bit-identical\n";
-  }
-  if (!pass) return 1;
-  return 0;
+  std::cout << "artifact " << image.size() << " bytes\n";
+  return bench::finish_ratio_rig(out, "gpumem-bench-indexio-v1", rows,
+                                 identical);
 }

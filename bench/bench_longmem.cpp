@@ -22,9 +22,7 @@
 // sets in every scenario. Raw nanoseconds are recorded for trend
 // inspection but never gated.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,49 +32,15 @@
 #include "seq/synthetic.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 using namespace gm;
 
 namespace {
 
-struct Row {
-  std::string name;
-  double cold_ns = 0.0;      ///< eager matching-statistics sweep
-  double hot_ns = 0.0;       ///< lazy long-MEM sweep
-  double min_speedup = 0.0;  ///< 0 = informational (not gated)
-  std::uint64_t mems = 0;    ///< deterministic output count (identity check)
-
-  double speedup() const { return cold_ns / hot_ns; }
-};
-
-/// Best-of-`reps` wall time of fn(), after one untimed warmup.
-template <typename Fn>
-double time_best_ns(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    util::Timer t;
-    fn();
-    best = std::min(best, t.seconds() * 1e9);
-  }
-  return best;
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream f(path);
-  f.precision(17);
-  f << "{\n  \"schema\": \"gpumem-bench-longmem-v1\",\n"
-    << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    f << "    {\"name\": \"" << r.name << "\", \"cold_ns\": " << r.cold_ns
-      << ", \"hot_ns\": " << r.hot_ns << ", \"speedup\": " << r.speedup()
-      << ", \"min_speedup\": " << r.min_speedup << ", \"mems\": " << r.mems
-      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n}\n";
-}
+/// The floor of the top rung on the gated pairs.
+/// No flag: bench_check.py fails any floor that differs from the
+/// committed baseline's per-row min_speedup.
+constexpr double kFloor = 2.0;
 
 }  // namespace
 
@@ -85,11 +49,10 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::string out = cli.get("out", "BENCH_longmem.json");
   const int reps = static_cast<int>(cli.get_int("reps", 3));
-  const double floor = cli.get_double("floor", 2.0);
   const std::uint32_t ladder[] = {20, 40, 80, 160, 320};
   const std::uint32_t top = ladder[std::size(ladder) - 1];
 
-  std::vector<Row> rows;
+  std::vector<bench::RatioRow> rows;
   util::Table sweep({"dataset", "L", "eager ms", "lazy ms", "speedup",
                      "#MEMs"});
   bool identical = true;
@@ -114,9 +77,9 @@ int main(int argc, char** argv) {
     for (const std::uint32_t L : ladder) {
       const std::string name = preset + " L" + std::to_string(L);
       std::vector<mem::Mem> eager_mems, lazy_mems;
-      const double cold_ns = time_best_ns(
+      const double cold_ns = bench::time_best_ns(
           reps, [&] { eager_mems = eager.find_at(data.query, L); });
-      const double hot_ns = time_best_ns(
+      const double hot_ns = bench::time_best_ns(
           reps, [&] { lazy_mems = lazy.find_at(data.query, L); });
       if (eager_mems != lazy_mems) {
         identical = false;
@@ -124,7 +87,7 @@ int main(int argc, char** argv) {
                   << eager_mems.size() << ", lazy " << lazy_mems.size()
                   << ")\n";
       }
-      const double row_floor = (gated_pair && L == top) ? floor : 0.0;
+      const double row_floor = (gated_pair && L == top) ? kFloor : 0.0;
       rows.push_back({name, cold_ns, hot_ns, row_floor, eager_mems.size()});
       sweep.add_row({preset, util::Table::num(std::uint64_t{L}),
                      util::Table::num(cold_ns / 1e6, 3),
@@ -135,23 +98,6 @@ int main(int argc, char** argv) {
   }
 
   bench::emit("longmem_sweep", sweep);
-  write_json(out, rows);
-  bool pass = identical;
-  for (const Row& r : rows) {
-    const bool gated = r.min_speedup > 0.0;
-    const bool ok = !gated || r.speedup() >= r.min_speedup;
-    pass = pass && ok;
-    std::cout << "  " << (ok ? "ok  " : "FAIL") << " " << r.name
-              << ": eager " << r.cold_ns / 1e6 << " ms, lazy "
-              << r.hot_ns / 1e6 << " ms -> " << r.speedup() << "x"
-              << (gated ? " (floor " + std::to_string(r.min_speedup) + "x)"
-                        : " (informational)")
-              << ", mems " << r.mems << "\n";
-  }
-  std::cout << "wrote " << out << " (" << rows.size() << " scenarios)\n";
-  if (!identical) {
-    std::cout << "FAILED: eager and lazy MEM sets are not bit-identical\n";
-  }
-  if (!pass) return 1;
-  return 0;
+  return bench::finish_ratio_rig(out, "gpumem-bench-longmem-v1", rows,
+                                 identical);
 }

@@ -2,46 +2,34 @@
 """Gate a benchmark run against the committed baseline.
 
 Usage:
-    bench_check.py CANDIDATE.json --baseline bench/BENCH_pipeline.json \
-        [--tolerance 0.10] [--min-speedup 1.15] [--diff-out diff.txt]
-    bench_check.py CANDIDATE.json --baseline bench/BENCH_hostwall.json \
+    bench_check.py CANDIDATE.json --baseline bench/BENCH_<rig>.json \
         [--diff-out diff.txt]
 
-The schema id in the JSON selects the gating policy (candidate and baseline
-must agree on it):
+The schema id in the JSON selects the gating policy; candidate and baseline
+must agree on it, so a run is never compared against another rig's
+baseline. Every policy requires the candidate's scenario set to equal the
+baseline's exactly: a silently dropped scenario is a failure.
 
   gpumem-bench-pipeline-v1 (bench_regress)
       Per-scenario *modeled* cycles — deterministic simulator output, so a
       tight relative band is meaningful: each scenario must be within
-      --tolerance (default 10%) of the baseline, its MEM count exactly
-      equal, and the aggregate overlap_speedup >= --min-speedup (1.15).
+      TOLERANCE (10%) of the baseline, its MEM count exactly equal, and the
+      aggregate overlap_speedup >= MIN_OVERLAP_SPEEDUP (1.15).
 
-  gpumem-bench-hostwall-v1 (bench_host_wall)
-      Per-scenario *self-relative* scalar/packed speedup — both sides of the
-      ratio are measured in the same process on the same data, so it is
-      stable across machines, unlike absolute wall time. Each scenario must
-      meet the min_speedup floor embedded in the JSON (0 = informational)
-      and its MEM count must equal the baseline exactly. Raw nanoseconds
-      are printed for trend inspection but never gated.
-
-  gpumem-bench-indexio-v1 (bench_index_io)
-      Per-scenario *self-relative* cold/hot speedup for index persistence
-      (docs/STORAGE.md): cold index build vs artifact mmap load, and cold
-      registry activation vs warm tenant hit. Gating follows the hostwall
-      policy — per-scenario min_speedup floors embedded in the JSON (the
-      artifact-load scenario carries the 10x floor) plus exact MEM-count
-      equality; raw nanoseconds are informational.
-
-  gpumem-bench-longmem-v1 (bench_longmem)
-      Per-scenario *self-relative* eager/lazy speedup of the lazy-LCP
-      long-MEM sweep over the eager matching-statistics sweep on a shared
-      FM index, across the Table-II pairs x a geometric L ladder. Same
-      policy as copmem: per-scenario min_speedup floors embedded in the
-      JSON (the 2x floor rides on the top-of-ladder rung of the diverged
-      and unrelated pairs; low rungs and high-identity pairs are
-      informational) plus exact MEM-count equality (the bench binary
-      itself asserts the MEM *sets* are bit-identical); raw nanoseconds
-      are informational.
+  gpumem-bench-hostwall-v1 (bench_host_wall: scalar vs packed LCE)
+  gpumem-bench-indexio-v1  (bench_index_io: cold build vs artifact load)
+  gpumem-bench-copmem-v1   (bench_copmem: SA-IS pipeline vs copmem)
+  gpumem-bench-longmem-v1  (bench_longmem: eager vs lazy slaMEM sweep)
+      Ratio rigs, one row schema {name, cold_ns, hot_ns, speedup,
+      min_speedup, mems}. The gated quantity is the *self-relative*
+      cold/hot speedup: both sides are measured in the same process on the
+      same data, so it is stable across machines, unlike absolute wall
+      time. Each scenario must meet the min_speedup floor embedded in the
+      JSON (0 = informational), that floor must equal the baseline's (a
+      floor is retuned only by regenerating the baseline), and its MEM
+      count must equal the baseline's exactly (each rig itself asserts the
+      MEM *sets* are bit-identical). Raw nanoseconds are printed for trend
+      inspection but never gated.
 
   gpumem-bench-servenet-v1 (bench_serve_slo)
       Network-serving gate point (docs/SERVING.md): an open-loop Poisson
@@ -56,18 +44,6 @@ must agree on it):
       and the saturation sweep are printed for trend inspection but never
       gated — the knee is a property of the machine.
 
-  gpumem-bench-copmem-v1 (bench_copmem)
-      Per-scenario *self-relative* cold/hot speedup of the copMEM
-      double-sampled fast-index path over the native pipeline, index+match
-      end to end on the Table-IV scenarios. Same policy as indexio:
-      per-scenario min_speedup floors embedded in the JSON (every scenario
-      carries the 3x floor) plus exact MEM-count equality (the bench binary
-      itself additionally asserts the MEM *sets* are bit-identical); raw
-      nanoseconds are informational.
-
-In both modes the scenario sets must match exactly — a silently dropped
-scenario is a failure.
-
 Exit code 0 = pass, 1 = regression (diff printed, and written to --diff-out
 when given, for CI artifact upload), 2 = usage / malformed input.
 """
@@ -77,13 +53,18 @@ import json
 import sys
 
 SCHEMA_PIPELINE = "gpumem-bench-pipeline-v1"
-SCHEMA_HOSTWALL = "gpumem-bench-hostwall-v1"
-SCHEMA_INDEXIO = "gpumem-bench-indexio-v1"
-SCHEMA_COPMEM = "gpumem-bench-copmem-v1"
-SCHEMA_LONGMEM = "gpumem-bench-longmem-v1"
 SCHEMA_SERVENET = "gpumem-bench-servenet-v1"
-SCHEMAS = (SCHEMA_PIPELINE, SCHEMA_HOSTWALL, SCHEMA_INDEXIO, SCHEMA_COPMEM,
-           SCHEMA_LONGMEM, SCHEMA_SERVENET)
+RATIO_SCHEMAS = ("gpumem-bench-hostwall-v1", "gpumem-bench-indexio-v1",
+                 "gpumem-bench-copmem-v1", "gpumem-bench-longmem-v1")
+SCHEMAS = (SCHEMA_PIPELINE, SCHEMA_SERVENET) + RATIO_SCHEMAS
+
+TOLERANCE = 0.10  # pipeline: allowed relative modeled-cycles drift
+MIN_OVERLAP_SPEEDUP = 1.15  # pipeline: aggregate overlap speedup floor
+
+
+def fail_usage(message):
+    sys.stderr.write(f"bench_check: {message}\n")
+    sys.exit(2)
 
 
 def load(path):
@@ -91,10 +72,10 @@ def load(path):
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"bench_check: cannot read {path}: {e}")
-    if doc.get("schema") not in SCHEMAS:
-        sys.exit(f"bench_check: {path}: schema {doc.get('schema')!r}, "
-                 f"want one of {SCHEMAS!r}")
+        fail_usage(f"cannot read {path}: {e}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema not in SCHEMAS:
+        fail_usage(f"{path}: schema {schema!r}, want one of {SCHEMAS!r}")
     return doc
 
 
@@ -111,19 +92,19 @@ def match_scenarios(cand_rows, base_rows, failures):
         yield name, base_rows[name], cand_rows[name]
 
 
-def check_pipeline(cand, base, args, failures):
+def check_pipeline(cand, base, failures):
     cand_rows = {s["name"]: s for s in cand.get("scenarios", [])}
     base_rows = {s["name"]: s for s in base.get("scenarios", [])}
     for name, b, c in match_scenarios(cand_rows, base_rows, failures):
         drift = c["modeled_cycles"] / b["modeled_cycles"] - 1.0
         wall_ms = c["wall_ns"] / 1e6
         status = "ok"
-        if abs(drift) > args.tolerance:
+        if abs(drift) > TOLERANCE:
             status = "FAIL"
             failures.append(
                 f"{name}: modeled_cycles {c['modeled_cycles']:.0f} vs "
                 f"baseline {b['modeled_cycles']:.0f} ({drift:+.1%}, "
-                f"tolerance +-{args.tolerance:.0%})")
+                f"tolerance +-{TOLERANCE:.0%})")
         if c["mems"] != b["mems"]:
             status = "FAIL"
             failures.append(f"{name}: mems {c['mems']} vs baseline "
@@ -132,45 +113,15 @@ def check_pipeline(cand, base, args, failures):
               f"mems {c['mems']}, wall {wall_ms:.1f} ms (informational)")
 
     speedup = cand.get("overlap_speedup", 0.0)
-    print(f"  overlap speedup: {speedup:.3f}x (floor {args.min_speedup}x, "
+    print(f"  overlap speedup: {speedup:.3f}x (floor {MIN_OVERLAP_SPEEDUP}x, "
           f"baseline had {base.get('overlap_speedup', 0.0):.3f}x)")
-    if speedup < args.min_speedup:
+    if speedup < MIN_OVERLAP_SPEEDUP:
         failures.append(f"overlap_speedup {speedup:.3f} below the "
-                        f"{args.min_speedup} floor")
-    return len(base_rows), f"+-{args.tolerance:.0%} modeled cycles"
+                        f"{MIN_OVERLAP_SPEEDUP} floor")
+    return len(base_rows), f"+-{TOLERANCE:.0%} modeled cycles"
 
 
-def check_hostwall(cand, base, args, failures):
-    del args  # gates are embedded per scenario
-    cand_rows = {s["name"]: s for s in cand.get("scenarios", [])}
-    base_rows = {s["name"]: s for s in base.get("scenarios", [])}
-    for name, b, c in match_scenarios(cand_rows, base_rows, failures):
-        floor = c.get("min_speedup", 0.0)
-        status = "ok"
-        if floor != b.get("min_speedup", 0.0):
-            status = "FAIL"
-            failures.append(
-                f"{name}: min_speedup floor {floor} differs from baseline "
-                f"{b.get('min_speedup', 0.0)} (regenerate the baseline when "
-                f"retuning gates)")
-        if floor > 0.0 and c["speedup"] < floor:
-            status = "FAIL"
-            failures.append(
-                f"{name}: scalar/packed speedup {c['speedup']:.2f}x below "
-                f"the {floor}x floor (baseline had {b['speedup']:.2f}x)")
-        if c["mems"] != b["mems"]:
-            status = "FAIL"
-            failures.append(f"{name}: mems {c['mems']} vs baseline "
-                            f"{b['mems']} (must match exactly)")
-        gate = f"floor {floor}x" if floor > 0.0 else "informational"
-        print(f"  {status:4} {name}: speedup {c['speedup']:.2f}x ({gate}, "
-              f"baseline {b['speedup']:.2f}x), mems {c['mems']}, packed "
-              f"{c['packed_ns'] / 1e6:.1f} ms (informational)")
-    return len(base_rows), "self-relative speedup floors"
-
-
-def check_indexio(cand, base, args, failures):
-    del args  # gates are embedded per scenario
+def check_ratio(cand, base, failures):
     cand_rows = {s["name"]: s for s in cand.get("scenarios", [])}
     base_rows = {s["name"]: s for s in base.get("scenarios", [])}
     for name, b, c in match_scenarios(cand_rows, base_rows, failures):
@@ -199,70 +150,7 @@ def check_indexio(cand, base, args, failures):
     return len(base_rows), "self-relative cold/hot speedup floors"
 
 
-def check_copmem(cand, base, args, failures):
-    del args  # gates are embedded per scenario
-    cand_rows = {s["name"]: s for s in cand.get("scenarios", [])}
-    base_rows = {s["name"]: s for s in base.get("scenarios", [])}
-    for name, b, c in match_scenarios(cand_rows, base_rows, failures):
-        floor = c.get("min_speedup", 0.0)
-        status = "ok"
-        if floor != b.get("min_speedup", 0.0):
-            status = "FAIL"
-            failures.append(
-                f"{name}: min_speedup floor {floor} differs from baseline "
-                f"{b.get('min_speedup', 0.0)} (regenerate the baseline when "
-                f"retuning gates)")
-        if floor > 0.0 and c["speedup"] < floor:
-            status = "FAIL"
-            failures.append(
-                f"{name}: copmem/native e2e speedup {c['speedup']:.2f}x "
-                f"below the {floor}x floor (baseline had "
-                f"{b['speedup']:.2f}x)")
-        if c["mems"] != b["mems"]:
-            status = "FAIL"
-            failures.append(f"{name}: mems {c['mems']} vs baseline "
-                            f"{b['mems']} (must match exactly)")
-        gate = f"floor {floor}x" if floor > 0.0 else "informational"
-        print(f"  {status:4} {name}: speedup {c['speedup']:.2f}x ({gate}, "
-              f"baseline {b['speedup']:.2f}x), mems {c['mems']}, "
-              f"native {c['cold_ns'] / 1e6:.1f} ms / copmem "
-              f"{c['hot_ns'] / 1e6:.2f} ms (informational)")
-    return len(base_rows), "self-relative e2e speedup floors"
-
-
-def check_longmem(cand, base, args, failures):
-    del args  # gates are embedded per scenario
-    cand_rows = {s["name"]: s for s in cand.get("scenarios", [])}
-    base_rows = {s["name"]: s for s in base.get("scenarios", [])}
-    for name, b, c in match_scenarios(cand_rows, base_rows, failures):
-        floor = c.get("min_speedup", 0.0)
-        status = "ok"
-        if floor != b.get("min_speedup", 0.0):
-            status = "FAIL"
-            failures.append(
-                f"{name}: min_speedup floor {floor} differs from baseline "
-                f"{b.get('min_speedup', 0.0)} (regenerate the baseline when "
-                f"retuning gates)")
-        if floor > 0.0 and c["speedup"] < floor:
-            status = "FAIL"
-            failures.append(
-                f"{name}: lazy/eager sweep speedup {c['speedup']:.2f}x "
-                f"below the {floor}x floor (baseline had "
-                f"{b['speedup']:.2f}x)")
-        if c["mems"] != b["mems"]:
-            status = "FAIL"
-            failures.append(f"{name}: mems {c['mems']} vs baseline "
-                            f"{b['mems']} (must match exactly)")
-        gate = f"floor {floor}x" if floor > 0.0 else "informational"
-        print(f"  {status:4} {name}: speedup {c['speedup']:.2f}x ({gate}, "
-              f"baseline {b['speedup']:.2f}x), mems {c['mems']}, "
-              f"eager {c['cold_ns'] / 1e6:.1f} ms / lazy "
-              f"{c['hot_ns'] / 1e6:.2f} ms (informational)")
-    return len(base_rows), "self-relative lazy-sweep speedup floors"
-
-
-def check_servenet(cand, base, args, failures):
-    del args  # the gate is fully described by the JSON itself
+def check_servenet(cand, base, failures):
     c, b = cand.get("gate", {}), base.get("gate", {})
 
     # The run must be the same experiment as the baseline: identical load
@@ -319,12 +207,6 @@ def main():
     ap.add_argument("candidate", help="JSON emitted by this run")
     ap.add_argument("--baseline", required=True,
                     help="committed reference JSON")
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="pipeline schema: allowed relative modeled-cycles "
-                         "drift (default 0.10 = +-10%%)")
-    ap.add_argument("--min-speedup", type=float, default=1.15,
-                    help="pipeline schema: floor for the aggregate overlap "
-                         "speedup")
     ap.add_argument("--diff-out", default=None,
                     help="also write failure details to this file")
     args = ap.parse_args()
@@ -332,22 +214,13 @@ def main():
     cand = load(args.candidate)
     base = load(args.baseline)
     if cand["schema"] != base["schema"]:
-        sys.exit(f"bench_check: schema mismatch: candidate "
-                 f"{cand['schema']!r} vs baseline {base['schema']!r}")
+        fail_usage(f"schema mismatch: candidate {cand['schema']!r} vs "
+                   f"baseline {base['schema']!r}")
 
+    check = {SCHEMA_PIPELINE: check_pipeline,
+             SCHEMA_SERVENET: check_servenet}.get(cand["schema"], check_ratio)
     failures = []
-    if cand["schema"] == SCHEMA_PIPELINE:
-        count, policy = check_pipeline(cand, base, args, failures)
-    elif cand["schema"] == SCHEMA_INDEXIO:
-        count, policy = check_indexio(cand, base, args, failures)
-    elif cand["schema"] == SCHEMA_COPMEM:
-        count, policy = check_copmem(cand, base, args, failures)
-    elif cand["schema"] == SCHEMA_LONGMEM:
-        count, policy = check_longmem(cand, base, args, failures)
-    elif cand["schema"] == SCHEMA_SERVENET:
-        count, policy = check_servenet(cand, base, args, failures)
-    else:
-        count, policy = check_hostwall(cand, base, args, failures)
+    count, policy = check(cand, base, failures)
 
     if failures:
         report = "bench_check: REGRESSION\n" + \
