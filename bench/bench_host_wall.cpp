@@ -99,10 +99,14 @@ int main(int argc, char** argv) {
   // so the default scenario set — and its committed baseline — is
   // untouched). Runs the e2e-native prebuilt path with observability fully
   // off vs fully on (spans + metrics + flight recorder), requires
-  // bit-identical MEMs and <= 5% wall overhead.
+  // bit-identical MEMs and <= 5% wall overhead. The two sides run in
+  // interleaved pairs, alternating which goes first, and the gate reads the
+  // median of the per-pair on/off ratios: a drift in machine speed during
+  // the run then moves both runs of a pair alike instead of one whole side.
   if (cli.get_bool("obs-overhead", false)) {
     const std::string obs_out = cli.get("out", "BENCH_obsoverhead.json");
-    const int reps = static_cast<int>(cli.get_int("obs-reps", 5));
+    const int pairs =
+        std::max<int>(1, static_cast<int>(cli.get_int("obs-reps", 21)));
     constexpr double kMaxOverhead = 0.05;
 
     core::Config cfg;
@@ -112,39 +116,69 @@ int main(int argc, char** argv) {
     const core::Engine engine(cfg);
     const core::Engine::NativeIndex prebuilt = engine.build_native_index(ref);
 
-    obs::Registry::global().set_enabled(false);
     std::vector<mem::Mem> off_mems, on_mems;
-    const double off_ns = bench::time_best_ns(reps, [&] {
-      off_mems = engine.run_native_prebuilt(ref, query, prebuilt).mems;
-    });
-    obs::Registry::global().reset();
-    obs::Registry::global().set_enabled(true);
     std::size_t spans = 0;
-    const double on_ns = bench::time_best_ns(reps, [&] {
-      // Clearing per rep bounds trace growth; its cost is charged to the
+    const auto run_off = [&] {
+      obs::Registry::global().set_enabled(false);
+      util::Timer t;
+      off_mems = engine.run_native_prebuilt(ref, query, prebuilt).mems;
+      return t.seconds() * 1e9;
+    };
+    const auto run_on = [&] {
+      obs::Registry::global().set_enabled(true);
+      util::Timer t;
+      // Clearing per run bounds trace growth; its cost is charged to the
       // obs side, keeping the comparison conservative.
       obs::Registry::global().trace().clear();
       on_mems = engine.run_native_prebuilt(ref, query, prebuilt).mems;
       spans = obs::Registry::global().trace().size();
-    });
-    obs::Registry::global().set_enabled(false);
+      const double ns = t.seconds() * 1e9;
+      obs::Registry::global().set_enabled(false);
+      return ns;
+    };
     obs::Registry::global().reset();
+    run_off();  // warm-up, untimed: first touch of the index and the heap
+    run_on();
+    std::vector<double> off_runs, on_runs, ratios;
+    for (int p = 0; p < pairs; ++p) {
+      double off_ns = 0.0, on_ns = 0.0;
+      if (p % 2 == 0) {
+        off_ns = run_off();
+        on_ns = run_on();
+      } else {
+        on_ns = run_on();
+        off_ns = run_off();
+      }
+      off_runs.push_back(off_ns);
+      on_runs.push_back(on_ns);
+      ratios.push_back(on_ns / off_ns);
+    }
+    obs::Registry::global().reset();
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      const std::size_t m = v.size() / 2;
+      return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+    };
+    const double off_ns = median(off_runs);
+    const double on_ns = median(on_runs);
 
-    const double overhead = on_ns / off_ns - 1.0;
+    const double overhead = median(ratios) - 1.0;
     const bool same = off_mems == on_mems;
     std::ofstream f(obs_out);
     f.precision(17);
     f << "{\n  \"schema\": \"gpumem-bench-obsoverhead-v1\",\n"
       << "  \"scenario\": \"e2e-native\",\n"
+      << "  \"pairs\": " << pairs << ",\n"
       << "  \"off_ns\": " << off_ns << ",\n  \"on_ns\": " << on_ns << ",\n"
       << "  \"overhead_frac\": " << overhead << ",\n"
       << "  \"max_overhead_frac\": " << kMaxOverhead << ",\n"
       << "  \"spans_per_run\": " << spans << ",\n"
       << "  \"mems\": " << on_mems.size() << ",\n"
       << "  \"identical\": " << (same ? "true" : "false") << "\n}\n";
-    std::cout << "  obs-overhead e2e-native: off " << off_ns / 1e6
-              << " ms, on " << on_ns / 1e6 << " ms -> "
-              << overhead * 100.0 << "% overhead (" << spans
+    std::cout << "  obs-overhead e2e-native: median of " << pairs
+              << " interleaved pairs: off " << off_ns / 1e6 << " ms, on "
+              << on_ns / 1e6 << " ms -> " << overhead * 100.0
+              << "% overhead (" << spans
               << " spans/run, ceiling " << kMaxOverhead * 100.0 << "%), mems "
               << on_mems.size() << (same ? "" : " NOT IDENTICAL") << "\n";
     std::cout << "wrote " << obs_out << "\n";

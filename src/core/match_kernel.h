@@ -6,6 +6,9 @@
 // computed in-device with two block scans), exact-match triplet generation
 // with seed-wise right extension, the conflict-free log-time combine
 // (Algorithm 3), then expansion + in-block / out-block classification.
+// The kernel runs in the simulator's phase form (simt::PhaseBlock): one loop
+// over the thread ids per barrier-free region, with the barrier semantics
+// and cost model of the coroutine form.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "mem/mem.h"
 #include "seq/sequence.h"
 #include "simt/device.h"
+#include "simt/executor.h"
 
 namespace gm::core {
 
@@ -40,6 +44,12 @@ struct MatchParams {
   std::span<std::uint32_t> outblock_count;
   std::span<std::uint8_t> overflow;  ///< grid × w flags: round fell back
 };
+
+/// Runs block `block` of the match kernel and returns what it charged;
+/// launch_match_kernel runs every block of the grid through it.
+simt::BlockResult run_match_block(const simt::DeviceSpec& spec,
+                                  std::uint32_t block, std::uint32_t threads,
+                                  const MatchParams& params);
 
 /// Launches the match kernel over `grid` blocks; returns modeled stats via
 /// the device ledger. Counters may exceed buffer sizes (overflow); the

@@ -1,13 +1,14 @@
-// Kernel launch machinery: runs one coroutine per logical thread, drives
-// phases between barriers, executes collectives, charges the cost model,
-// and schedules blocks across host worker threads.
+// Kernel launch machinery: runs a block's threads phase by phase between
+// barriers — as one coroutine per logical thread (run_block) or as
+// loop-fissioned phase loops (PhaseBlock) — executes collectives, charges
+// the cost model, and schedules blocks across host worker threads.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "obs/registry.h"
 #include "simt/arena.h"
 #include "simt/device.h"
 #include "simt/kernel.h"
@@ -26,17 +27,20 @@ struct LaunchConfig {
 struct LaunchStats {
   double modeled_seconds = 0.0;
   std::uint64_t phases = 0;       ///< total barrier phases across blocks
-  std::uint64_t resumes = 0;      ///< coroutine resumes (host-cost figure)
+  std::uint64_t resumes = 0;      ///< thread bodies run (host-cost figure)
   PhaseCounters work{};           ///< total accounted work
   CycleBreakdown cycle_terms{};   ///< per-term cycles summed over blocks
 };
 
-/// Executes the threads of one block to completion. Exposed separately from
-/// launch() so tests can drive single blocks deterministically.
+/// What one block's run charged. Exposed separately from launch() so tests
+/// can drive single blocks deterministically.
 struct BlockResult {
   double cycles = 0.0;
   std::uint64_t phases = 0;
-  std::uint64_t resumes = 0;  ///< thread resumes; sleeping threads make none
+  /// Thread bodies run: coroutine resumes (sleeping threads make none), or
+  /// in the phase form τ per full phase and the folded threads per sparse
+  /// phase.
+  std::uint64_t resumes = 0;
   PhaseCounters work{};
   CycleBreakdown cycle_terms{};
 };
@@ -76,12 +80,28 @@ BlockWorkspace& block_workspace();
 
 void check_block_dim(const DeviceSpec& spec, std::uint32_t block_dim);
 
+/// Charges the phase folded in `fold` (clearing it): its per-term cycles
+/// and one phase.
+void charge_phase(const DeviceSpec& spec, PhaseFold& fold,
+                  BlockResult& result);
+
+/// Charges a block scan's ~2·ceil_log2(block) lock-step shared-memory steps,
+/// beyond the barrier of the phase it ends.
+void charge_scan(const DeviceSpec& spec, std::uint32_t block_dim,
+                 BlockResult& result);
+
 /// Charges the finished phase (folded in `ws.fold`) to the cost model and
 /// executes the collective the live threads wait on (throws
 /// std::logic_error on divergent barrier kinds). The non-templated tail of
 /// run_block's phase loop.
 void finish_phase(const DeviceSpec& spec, BlockWorkspace& ws,
                   const PhaseJoin& join, BlockResult& result);
+
+/// The launch tail both kernel forms share: sums the blocks' results, adds
+/// the launch's modeled seconds to the device ledger, records its span, and
+/// hands the block durations to the device's segment sink.
+LaunchStats finish_launch(Device& dev, const LaunchConfig& cfg,
+                          std::span<const BlockResult> results);
 
 }  // namespace detail
 
@@ -162,6 +182,65 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
   return result;
 }
 
+/// Phase-form execution of one block (kernel.h). The kernel runs each
+/// barrier-free region as one loop over the thread ids in ascending order.
+/// A thread's own work in the phase goes into a PhaseCounters it hands to
+/// fold() right after its body; work every thread does alike goes through
+/// uniform(). The region then ends with
+///   - barrier(): every thread ran (a full phase); a thread never folded
+///     did only the uniform work;
+///   - scan(values): a full phase whose barrier is also a block-wide
+///     exclusive prefix sum, charged like run_block's scan_add;
+///   - sparse_barrier(): only the folded threads ran and nothing is
+///     uniform; the others, like lanes with zero counters, add nothing.
+/// finish() charges the phase in which the threads return, as run_block
+/// does, and yields the result. Cycles, phases, work and per-term cycles are
+/// bit-identical to the coroutine form's for the same work; `resumes` counts
+/// τ per full phase and the folded threads per sparse one. The fold lives in
+/// the worker's workspace: one PhaseBlock per host worker at a time.
+class PhaseBlock {
+ public:
+  PhaseBlock(const DeviceSpec& spec, std::uint32_t block_dim);
+  PhaseBlock(const PhaseBlock&) = delete;
+  PhaseBlock& operator=(const PhaseBlock&) = delete;
+
+  /// Accounting for work every thread of the current full phase does.
+  Lane uniform() noexcept { return Lane(&uniform_); }
+
+  /// Folds thread `tid`'s own work in the current phase; at most once per
+  /// thread per phase, right after its body.
+  void fold(std::uint32_t tid, const PhaseCounters& c) noexcept {
+    fold_.add(tid, c);
+    result_.work += c;
+    ++folded_;
+  }
+
+  /// __syncthreads() ending a full phase.
+  void barrier();
+
+  /// A full phase ending in a block-wide exclusive prefix sum: replaces each
+  /// values[t] (one per thread) by the sum of the lower ids' values and
+  /// returns the block total.
+  std::uint64_t scan(std::span<std::uint64_t> values);
+
+  /// __syncthreads() ending a phase in which only the folded threads ran.
+  void sparse_barrier();
+
+  /// Charges the final phase (a full one: the threads return) and yields
+  /// the block's result.
+  BlockResult finish();
+
+ private:
+  void charge(std::uint64_t resumes);
+
+  const DeviceSpec& spec_;
+  std::uint32_t block_dim_;
+  PhaseFold& fold_;
+  PhaseCounters uniform_{};
+  std::uint64_t folded_ = 0;
+  BlockResult result_;
+};
+
 /// Emits the launch's span on the modeled-device trace track: phase count,
 /// work counters, wave/occupancy figures, and the per-term cycle breakdown.
 /// Call only when obs::enabled(); `modeled_start` is the ledger total just
@@ -169,6 +248,23 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
 /// so the stream scheduler can retime it onto an overlapped timeline.
 std::size_t record_launch_span(const Device& dev, const LaunchConfig& cfg,
                                const LaunchStats& stats, double modeled_start);
+
+/// Runs `run_one(block_id) -> BlockResult` for each of the cfg.grid blocks
+/// across the host workers and charges the launch: modeled device time is
+/// added to the device ledger and returned.
+template <typename RunBlock>
+LaunchStats launch_blocks(Device& dev, const LaunchConfig& cfg,
+                          RunBlock&& run_one) {
+  std::vector<BlockResult> results(cfg.grid);
+  util::parallel_for_chunked(
+      0, cfg.grid, util::ThreadPool::global().size(),
+      [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+          results[b] = run_one(static_cast<std::uint32_t>(b));
+        }
+      });
+  return detail::finish_launch(dev, cfg, results);
+}
 
 /// Launches `fn(ctx, smem, args...)` over cfg.grid blocks of cfg.block
 /// threads. SharedT is default-constructed once per block (the shared
@@ -178,46 +274,13 @@ std::size_t record_launch_span(const Device& dev, const LaunchConfig& cfg,
 template <typename SharedT, typename Fn, typename... Args>
 LaunchStats launch(Device& dev, const LaunchConfig& cfg, Fn&& fn,
                    Args&&... args) {
-  std::vector<double> block_cycles(cfg.grid, 0.0);
-  std::vector<BlockResult> results(cfg.grid);
-  util::parallel_for_chunked(
-      0, cfg.grid, util::ThreadPool::global().size(),
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          SharedT smem{};
-          results[b] = run_block(dev.spec(), static_cast<std::uint32_t>(b),
-                                 cfg.grid, cfg.block,
-                                 [&](ThreadCtx& ctx) -> KernelTask {
-                                   return fn(ctx, smem, args...);
-                                 });
-          block_cycles[b] = results[b].cycles;
-        }
-      });
-  LaunchStats stats;
-  for (const BlockResult& r : results) {
-    stats.phases += r.phases;
-    stats.resumes += r.resumes;
-    stats.work += r.work;
-    stats.cycle_terms += r.cycle_terms;
-  }
-  stats.modeled_seconds = launch_seconds(
-      dev.spec(), block_cycles, cfg.blocks_per_sm, stats.work.global_bytes);
-  const double modeled_start = dev.ledger().total_seconds();
-  dev.ledger().add_kernel_seconds(stats.modeled_seconds, cfg.label);
-  std::ptrdiff_t span_index = -1;
-  if (obs::enabled()) {
-    span_index = static_cast<std::ptrdiff_t>(
-        record_launch_span(dev, cfg, stats, modeled_start));
-  }
-  if (dev.segment_sink() != nullptr) {
-    const double clock = dev.spec().clock_hz;
-    for (double& c : block_cycles) c /= clock;
-    dev.note_kernel_launch(
-        cfg.label, std::move(block_cycles),
-        static_cast<double>(stats.work.global_bytes) / dev.spec().mem_bandwidth,
-        stats.modeled_seconds, cfg.blocks_per_sm, span_index);
-  }
-  return stats;
+  return launch_blocks(dev, cfg, [&](std::uint32_t b) {
+    SharedT smem{};
+    return run_block(dev.spec(), b, cfg.grid, cfg.block,
+                     [&](ThreadCtx& ctx) -> KernelTask {
+                       return fn(ctx, smem, args...);
+                     });
+  });
 }
 
 /// Shared-memory tag for kernels that use none.

@@ -1,12 +1,21 @@
-// Coroutine-based SIMT kernel model.
+// SIMT kernel model: the coroutine form and the accounting both forms share.
 //
-// A kernel is a plain function returning KernelTask and taking a ThreadCtx&
-// (plus a shared-memory struct reference and arbitrary parameters). One
-// coroutine frame per logical device thread; `co_await ctx.sync()` is
-// __syncthreads(). The block scheduler (executor.h) resumes every awake,
-// live thread once per *phase* (the code between two barriers), performs
-// any collective operation the threads requested, charges the phase to the
-// cost model, and repeats.
+// Coroutine form. A kernel is a plain function returning KernelTask and
+// taking a ThreadCtx& (plus a shared-memory struct reference and arbitrary
+// parameters). One coroutine frame per logical device thread;
+// `co_await ctx.sync()` is __syncthreads(). The block scheduler
+// (executor.h, run_block) resumes every awake, live thread once per *phase*
+// (the code between two barriers), performs any collective operation the
+// threads requested, charges the phase to the cost model, and repeats.
+//
+// Phase form. A kernel may instead be written loop-fissioned at its
+// barriers (MCUDA: Stratton, Stone and Hwu, LCPC 2008): one loop over the
+// thread ids per barrier-free region, with the state that crosses a barrier
+// kept in block-local arrays, driven by executor.h's PhaseBlock. The
+// barrier semantics and the cost model are the same; a phase in which only
+// some threads work (a sparse phase) costs host time only for those. The
+// match kernel (core/match_kernel.cpp) runs this way; the index, scan and
+// tile-combine kernels are coroutines.
 //
 // Sleeping through barriers: `co_await ctx.sync(n)` is n back-to-back
 // __syncthreads() with no work between them. The thread suspends once and
@@ -14,8 +23,7 @@
 // it: in those phases its counters are zero and it counts as waiting on a
 // plain barrier (so a sibling's scan_add there is still a divergent
 // collective). On hardware an idle lane costs nothing at a barrier; here a
-// resume costs host time, so kernels whose idle rounds are known in advance
-// (the Algorithm 3 combine) sleep through them. sync(0) is a no-op.
+// resume costs host time. sync(0) is a no-op.
 //
 // Why coroutines: barrier semantics need every thread to suspend mid-body
 // with its locals intact. Coroutine frames give exactly that without a
@@ -128,12 +136,44 @@ class KernelTask {
   std::coroutine_handle<promise_type> handle_;
 };
 
-class ThreadCtx {
+/// Work-accounting handle: adds to the counters of one thread's current
+/// phase. ThreadCtx is one (coroutine form); a phase-form kernel points one
+/// at the PhaseCounters it folds after a thread's body, or takes
+/// PhaseBlock::uniform() for work every thread does.
+class Lane {
+ public:
+  Lane() = default;
+  explicit Lane(PhaseCounters* counters) : counters_(counters) {}
+
+  void alu(std::uint64_t n = 1) noexcept { counters_->alu += n; }
+  void gmem(std::uint64_t bytes) noexcept { counters_->global_bytes += bytes; }
+  /// Uncoalesced global accesses: each random access moves a full 128-byte
+  /// transaction regardless of payload (charged to device bandwidth) *and*
+  /// serializes on the issuing lane (charged as per-warp latency) — the two
+  /// dominant costs of index lookups on Kepler-class devices and the main
+  /// calibration levers of the model.
+  void gmem_txn(std::uint64_t n = 1) noexcept {
+    counters_->global_bytes += n * 128;
+    counters_->txns += n;
+  }
+  void smem(std::uint64_t n = 1) noexcept { counters_->shared_ops += n; }
+  void atomic_op(std::uint64_t n = 1) noexcept { counters_->atomics += n; }
+
+ private:
+  PhaseCounters* counters_ = nullptr;
+};
+
+class ThreadCtx : public Lane {
  public:
   ThreadCtx() = default;
   ThreadCtx(std::uint32_t tid, std::uint32_t bid, std::uint32_t bdim,
             std::uint32_t gdim, ThreadSlot* slot)
-      : tid_(tid), bid_(bid), bdim_(bdim), gdim_(gdim), slot_(slot) {}
+      : Lane(&slot->phase),
+        tid_(tid),
+        bid_(bid),
+        bdim_(bdim),
+        gdim_(gdim),
+        slot_(slot) {}
 
   std::uint32_t thread_id() const noexcept { return tid_; }
   std::uint32_t block_id() const noexcept { return bid_; }
@@ -143,21 +183,6 @@ class ThreadCtx {
   std::uint64_t global_id() const noexcept {
     return static_cast<std::uint64_t>(bid_) * bdim_ + tid_;
   }
-
-  // --- work accounting -----------------------------------------------------
-  void alu(std::uint64_t n = 1) noexcept { slot_->phase.alu += n; }
-  void gmem(std::uint64_t bytes) noexcept { slot_->phase.global_bytes += bytes; }
-  /// Uncoalesced global accesses: each random access moves a full 128-byte
-  /// transaction regardless of payload (charged to device bandwidth) *and*
-  /// serializes on the issuing lane (charged as per-warp latency) — the two
-  /// dominant costs of index lookups on Kepler-class devices and the main
-  /// calibration levers of the model.
-  void gmem_txn(std::uint64_t n = 1) noexcept {
-    slot_->phase.global_bytes += n * 128;
-    slot_->phase.txns += n;
-  }
-  void smem(std::uint64_t n = 1) noexcept { slot_->phase.shared_ops += n; }
-  void atomic_op(std::uint64_t n = 1) noexcept { slot_->phase.atomics += n; }
 
   // --- barriers & collectives ----------------------------------------------
   struct SyncAwaiter {

@@ -10,6 +10,16 @@ void PhaseFold::reset(std::uint32_t block_dim, std::uint32_t warp_size) {
   atomics_ = 0;
 }
 
+void PhaseFold::add_uniform(const PhaseCounters& u,
+                            std::uint32_t block_dim) noexcept {
+  for (WarpMax& w : warps_) {
+    w.alu += u.alu;
+    w.shared_ops += u.shared_ops;
+    w.txns += u.txns;
+  }
+  atomics_ += u.atomics * block_dim;
+}
+
 CycleBreakdown PhaseFold::take_terms(const DeviceSpec& spec) noexcept {
   double compute = 0.0, shared = 0.0, latency = 0.0;
   for (WarpMax& w : warps_) {

@@ -86,6 +86,11 @@ class PhaseFold {
     atomics_ += c.atomics;
   }
 
+  /// Adds `u` to every one of the block's `block_dim` lanes: each warp's
+  /// maxima rise by u (every lane carries it) and the atomics by
+  /// block_dim·u, bit-identical to add()ing u into each lane's counters.
+  void add_uniform(const PhaseCounters& u, std::uint32_t block_dim) noexcept;
+
   /// The phase's per-term cycles; clears the fold for the next phase.
   CycleBreakdown take_terms(const DeviceSpec& spec) noexcept;
 

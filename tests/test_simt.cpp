@@ -376,6 +376,175 @@ TEST(Executor, ArenaRecyclesAfterThrowToo) {
   EXPECT_EQ(arena.live(), 0u);
 }
 
+// --- phase-form runner (PhaseBlock) -----------------------------------------
+
+void expect_same_charge(const simt::BlockResult& a,
+                        const simt::BlockResult& b) {
+  EXPECT_EQ(a.cycles, b.cycles);  // bit-equal, not just near
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.cycle_terms.compute, b.cycle_terms.compute);
+  EXPECT_EQ(a.cycle_terms.shared, b.cycle_terms.shared);
+  EXPECT_EQ(a.cycle_terms.latency, b.cycle_terms.latency);
+  EXPECT_EQ(a.cycle_terms.atomics, b.cycle_terms.atomics);
+  EXPECT_EQ(a.cycle_terms.barrier, b.cycle_terms.barrier);
+  EXPECT_EQ(a.work.alu, b.work.alu);
+  EXPECT_EQ(a.work.global_bytes, b.work.global_bytes);
+  EXPECT_EQ(a.work.txns, b.work.txns);
+  EXPECT_EQ(a.work.shared_ops, b.work.shared_ops);
+  EXPECT_EQ(a.work.atomics, b.work.atomics);
+}
+
+/// A few threads' own work in one phase.
+simt::PhaseCounters sample_work(std::uint32_t tid) {
+  simt::PhaseCounters c;
+  simt::Lane lane(&c);
+  lane.alu(7 + tid);
+  lane.gmem_txn(tid % 3);
+  lane.smem(2);
+  lane.atomic_op(tid % 2);
+  return c;
+}
+
+TEST(PhaseBlock, SparseBarrierEqualsFullBarrierOverZeroLanes) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  const std::uint32_t working[] = {3, 40, 41, 95};
+  simt::PhaseBlock sparse(spec, 96);
+  for (std::uint32_t t : working) sparse.fold(t, sample_work(t));
+  sparse.sparse_barrier();
+  const simt::BlockResult a = sparse.finish();
+
+  simt::PhaseBlock full(spec, 96);
+  for (std::uint32_t t = 0; t < 96; ++t) {
+    const bool works = t == 3 || t == 40 || t == 41 || t == 95;
+    full.fold(t, works ? sample_work(t) : simt::PhaseCounters{});
+  }
+  full.barrier();
+  const simt::BlockResult b = full.finish();
+
+  expect_same_charge(a, b);
+  EXPECT_EQ(a.resumes, 4u + 96u);
+  EXPECT_EQ(b.resumes, 96u + 96u);
+}
+
+TEST(PhaseBlock, UniformWorkEqualsFoldingItIntoEveryThread) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  simt::PhaseBlock uniform(spec, 80);  // a partial last warp
+  for (std::uint32_t t = 0; t < 80; t += 7) uniform.fold(t, sample_work(t));
+  uniform.uniform().alu(5);
+  uniform.uniform().smem(3);
+  uniform.uniform().gmem_txn(1);
+  uniform.uniform().atomic_op(2);
+  uniform.barrier();
+  const simt::BlockResult a = uniform.finish();
+
+  simt::PhaseBlock folded(spec, 80);
+  for (std::uint32_t t = 0; t < 80; ++t) {
+    simt::PhaseCounters c =
+        t % 7 == 0 ? sample_work(t) : simt::PhaseCounters{};
+    simt::Lane lane(&c);
+    lane.alu(5);
+    lane.smem(3);
+    lane.gmem_txn(1);
+    lane.atomic_op(2);
+    folded.fold(t, c);
+  }
+  folded.barrier();
+  expect_same_charge(a, folded.finish());
+}
+
+TEST(PhaseBlock, UniformWorkInASparsePhaseIsRejected) {
+  simt::PhaseBlock blk(DeviceSpec::k20c(), 32);
+  blk.uniform().alu(1);
+  EXPECT_THROW(blk.sparse_barrier(), std::logic_error);
+}
+
+KernelTask scan_values_kernel(ThreadCtx& ctx, NoShared&,
+                              std::span<const std::uint64_t> in,
+                              std::span<simt::ScanResult> out) {
+  out[ctx.thread_id()] = co_await ctx.scan_add(in[ctx.thread_id()]);
+}
+
+TEST(PhaseBlock, ScanMatchesScanAdd) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  const std::uint32_t n = 96;  // not a power of two: ceil_log2 rounds up
+  std::vector<std::uint64_t> in(n);
+  for (std::uint32_t t = 0; t < n; ++t) in[t] = (t * 2654435761u) % 11;
+
+  std::vector<simt::ScanResult> want(n);
+  NoShared smem;
+  const simt::BlockResult coro =
+      simt::run_block(spec, 0, 1, n, [&](ThreadCtx& ctx) -> KernelTask {
+        return scan_values_kernel(ctx, smem, in,
+                                  std::span<simt::ScanResult>(want));
+      });
+
+  simt::PhaseBlock blk(spec, n);
+  std::vector<std::uint64_t> values = in;
+  const std::uint64_t total = blk.scan(values);
+  const simt::BlockResult phase = blk.finish();
+
+  for (std::uint32_t t = 0; t < n; ++t) {
+    EXPECT_EQ(values[t], want[t].exclusive) << "thread " << t;
+    EXPECT_EQ(total, want[t].total);
+  }
+  expect_same_charge(phase, coro);
+  // No thread touched shared memory: the shared term is the scan's
+  // 2·ceil_log2(τ) lock-step steps alone.
+  EXPECT_EQ(phase.cycle_terms.shared, 2.0 * 7.0 * spec.cycles_per_shared);
+}
+
+TEST(PhaseBlock, EmptySparsePhaseChargesOnlyTheBarrier) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  simt::PhaseBlock base(spec, 64);
+  const simt::BlockResult a = base.finish();
+
+  simt::PhaseBlock blk(spec, 64);
+  blk.sparse_barrier();
+  const simt::BlockResult b = blk.finish();
+
+  EXPECT_EQ(b.phases, a.phases + 1);
+  EXPECT_EQ(b.cycles - a.cycles, spec.cycles_per_barrier);
+  EXPECT_EQ(b.cycle_terms.barrier, 2 * spec.cycles_per_barrier);
+  EXPECT_EQ(b.cycle_terms.compute, 0.0);
+  EXPECT_EQ(b.cycle_terms.shared, 0.0);
+  EXPECT_EQ(b.cycle_terms.latency, 0.0);
+  EXPECT_EQ(b.cycle_terms.atomics, 0.0);
+  EXPECT_EQ(b.resumes, a.resumes);  // no thread ran in the sparse phase
+}
+
+KernelTask two_phase_kernel(ThreadCtx& ctx, NoShared&) {
+  ctx.alu(ctx.thread_id() % 5);
+  ctx.smem(1);
+  co_await ctx.sync();
+  if (ctx.thread_id() % 16 == 3) ctx.gmem_txn(ctx.thread_id());
+}
+
+TEST(PhaseBlock, MatchesTheCoroutineFormOfTheSameKernel) {
+  const DeviceSpec spec = DeviceSpec::k20c();
+  NoShared smem;
+  const simt::BlockResult coro =
+      simt::run_block(spec, 0, 1, 64, [&](ThreadCtx& ctx) -> KernelTask {
+        return two_phase_kernel(ctx, smem);
+      });
+
+  simt::PhaseBlock blk(spec, 64);
+  for (std::uint32_t t = 0; t < 64; ++t) {
+    simt::PhaseCounters c;
+    simt::Lane(&c).alu(t % 5);
+    blk.fold(t, c);
+  }
+  blk.uniform().smem(1);
+  blk.barrier();
+  for (std::uint32_t t = 3; t < 64; t += 16) {
+    simt::PhaseCounters c;
+    simt::Lane(&c).gmem_txn(t);
+    blk.fold(t, c);
+  }
+  const simt::BlockResult phase = blk.finish();
+  expect_same_charge(phase, coro);
+  EXPECT_EQ(phase.resumes, coro.resumes);
+}
+
 TEST(Primitives, DeviceScanMatchesStd) {
   Device dev;
   for (std::size_t n : {1u, 100u, 16384u, 16385u, 100000u}) {
