@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   std::atomic<bool> wire_identical{true};
   const net::SendFn send = [&](std::size_t lane, std::size_t index) {
     net::QueryFrame qf;
-    qf.id = "q" + std::to_string(index);
+    qf.id = std::string("q").append(std::to_string(index));
     qf.query = queries[index % queries.size()].to_string();
     qf.deadline_ms = 0;
     net::Reply reply;

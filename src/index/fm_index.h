@@ -50,6 +50,13 @@ class FmIndex {
   /// the empty suffix).
   std::uint32_t locate(std::uint32_t row) const;
 
+  /// BWT character of `row`: the code of text[locate(row) - 1], or 4 for
+  /// the primary row, whose suffix starts the text and whose BWT character
+  /// is '$'. One bitplane read, no LF walk.
+  std::uint8_t bwt_at(std::uint32_t row) const noexcept {
+    return row == primary_ ? std::uint8_t{4} : bwt_code(row);
+  }
+
   /// LCP between the suffixes of row-1 and row (row 0 -> 0). Exact despite
   /// the byte-sampled storage (large values come from the exception table).
   std::uint32_t lcp_at(std::uint32_t row) const;

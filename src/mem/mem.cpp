@@ -20,8 +20,16 @@ void sort_unique(std::vector<Mem>& mems) {
 }
 
 std::string to_string(const Mem& m) {
-  return "(" + std::to_string(m.r) + ", " + std::to_string(m.q) + ", " +
-         std::to_string(m.len) + ")";
+  // Appended piecewise: GCC 12 reports a false -Wrestrict on
+  // `"literal" + std::string&&` (operator+ inlines an insert at 0).
+  std::string s = "(";
+  s += std::to_string(m.r);
+  s += ", ";
+  s += std::to_string(m.q);
+  s += ", ";
+  s += std::to_string(m.len);
+  s += ")";
+  return s;
 }
 
 }  // namespace gm::mem

@@ -42,21 +42,42 @@ std::vector<Mem> SlaMemFinder::find_at(const seq::Sequence& query,
   }
   util::Timer timer;
   std::vector<Mem> out;
+  Work work;
   if (!query.empty()) {
     if (lazy()) {
-      find_lazy(query, min_length, out);
+      find_lazy(query, min_length, out, work);
     } else {
-      find_eager(query, min_length, out);
+      find_eager(query, min_length, out, work);
     }
     clip_invalid_bases(*ref_, query, out, min_length);
     sort_unique(out);
   }
   last_seconds_ = timer.seconds();
+  last_work_ = work;
   return out;
 }
 
+void SlaMemFinder::emit_rows(index::SaInterval iv, const seq::Sequence& query,
+                             std::uint32_t j, std::uint32_t L,
+                             std::vector<Mem>& out, Work& work) const {
+  // All reference positions matching >= L characters at j: the interval of
+  // query[j .. j+L), reached by widening (trimming the window's right end).
+  // A row whose BWT character, ref[r-1], equals query[j-1] extends one
+  // further left — exactly the rows left_maximal() rejects — so it is
+  // dropped before its locate() LF walk. The primary row (r == 0) reads 4
+  // and j == 0 compares against 5: neither drops anything.
+  const index::SaInterval at_L = fm_->widen(iv, L);
+  const std::uint8_t left = j > 0 ? query.base(j - 1) : std::uint8_t{5};
+  work.rows_visited += at_L.hi - at_L.lo;
+  for (std::uint32_t row = at_L.lo; row < at_L.hi; ++row) {
+    if (fm_->bwt_at(row) == left) continue;
+    ++work.rows_located;
+    emit_exact_candidate(*ref_, query, fm_->locate(row), j, L, out);
+  }
+}
+
 void SlaMemFinder::find_eager(const seq::Sequence& query, std::uint32_t L,
-                              std::vector<Mem>& out) const {
+                              std::vector<Mem>& out, Work& work) const {
   // Right-to-left matching-statistics sweep (Ohlebusch-style backward
   // search): (iv, m) is the FM row interval of the longest reference match
   // of the window query[j .. j+m). Prepending query[j-1] is one backward
@@ -86,19 +107,12 @@ void SlaMemFinder::find_eager(const seq::Sequence& query, std::uint32_t L,
       iv = fm_->widen(iv, m);
       if (m == 0) iv = fm_->all_rows();
     }
-    if (m < L) continue;
-    // All reference positions matching >= L characters at j: the interval of
-    // query[j .. j+L), reached by widening (trimming the window's right end).
-    const index::SaInterval at_L = fm_->widen(iv, L);
-    for (std::uint32_t row = at_L.lo; row < at_L.hi; ++row) {
-      const std::uint32_t r = fm_->locate(row);
-      emit_exact_candidate(*ref_, query, r, j, L, out);
-    }
+    if (m >= L) emit_rows(iv, query, j, L, out, work);
   }
 }
 
 void SlaMemFinder::find_lazy(const seq::Sequence& query, std::uint32_t L,
-                             std::vector<Mem>& out) const {
+                             std::vector<Mem>& out, Work& work) const {
   // Long-MEM sweep. A MEM of length >= L starts at j iff the window
   // query[j .. j+L) occurs in the reference, i.e. iff MS[j] >= L — so the
   // sweep only needs MS *thresholded* at L, never the exact values, and any
@@ -200,11 +214,7 @@ void SlaMemFinder::find_lazy(const seq::Sequence& query, std::uint32_t L,
   // locate the rows — the only lcp_at/locate work the lazy sweep does.
   std::size_t first = (lazy_skip_ && !confirmed.empty()) ? 1 : 0;
   for (std::size_t i = first; i < confirmed.size(); ++i) {
-    const index::SaInterval at_L = fm_->widen(confirmed[i].iv, L);
-    for (std::uint32_t row = at_L.lo; row < at_L.hi; ++row) {
-      const std::uint32_t r = fm_->locate(row);
-      emit_exact_candidate(*ref_, query, r, confirmed[i].j, L, out);
-    }
+    emit_rows(confirmed[i].iv, query, confirmed[i].j, L, out, work);
   }
 }
 

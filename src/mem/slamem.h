@@ -2,7 +2,12 @@
 // FM-index backward search with matching statistics maintained across
 // consecutive query positions via LCP-driven parent-interval widening (the
 // "sampled LCP array" idea), and candidate rows located through the
-// sampled suffix array.
+// sampled suffix array. Only left-maximal rows are located: a row of the
+// depth-L interval whose BWT character equals the query base left of the
+// window, ref[r-1] == query[j-1], extends one further left and cannot start
+// a MEM, so one bitplane read (FmIndex::bwt_at) drops it before its LF walk.
+// On inputs without invalid bases every located row then is a MEM
+// (last_find_work() counts the rows visited and the rows located).
 //
 // Two sweep modes over the same index:
 //   - eager (default): full matching statistics at every query position —
@@ -57,6 +62,16 @@ class SlaMemFinder final : public MemFinder {
                            std::uint32_t min_length) const override;
 
   double last_find_modeled_seconds() const override { return last_seconds_; }
+
+  /// Exact work of the last find: rows of the depth-L intervals the sweep
+  /// visited, and the rows it passed to FmIndex::locate — only those whose
+  /// BWT character differs from the query base left of the window.
+  struct Work {
+    std::uint64_t rows_visited = 0;
+    std::uint64_t rows_located = 0;
+  };
+  Work last_find_work() const { return last_work_; }
+
   std::size_t index_bytes() const override { return fm_ ? fm_->bytes() : 0; }
 
   /// Fuzz-oracle hook: when on, the lazy sweep drops its first confirmed
@@ -70,9 +85,12 @@ class SlaMemFinder final : public MemFinder {
 
  private:
   void find_eager(const seq::Sequence& query, std::uint32_t L,
-                  std::vector<Mem>& out) const;
+                  std::vector<Mem>& out, Work& work) const;
   void find_lazy(const seq::Sequence& query, std::uint32_t L,
-                 std::vector<Mem>& out) const;
+                 std::vector<Mem>& out, Work& work) const;
+  void emit_rows(index::SaInterval iv, const seq::Sequence& query,
+                 std::uint32_t j, std::uint32_t L, std::vector<Mem>& out,
+                 Work& work) const;
 
   const seq::Sequence* ref_ = nullptr;
   FinderOptions opt_;
@@ -80,6 +98,7 @@ class SlaMemFinder final : public MemFinder {
   bool force_lazy_ = false;
   bool lazy_skip_ = false;
   mutable double last_seconds_ = 0.0;
+  mutable Work last_work_;
 };
 
 }  // namespace gm::mem

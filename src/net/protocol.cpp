@@ -110,9 +110,8 @@ std::string Cursor::string16() {
 
 std::vector<std::uint8_t> encode_frame(
     FrameType type, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   out.reserve(kHeaderBytes + payload.size());
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
   out.push_back(kVersion);
   out.push_back(static_cast<std::uint8_t>(type));
   append_u16(out, 0);  // flags

@@ -144,12 +144,11 @@ TEST(Esa, SingleSuffix) {
 TEST(FmIndex, RankMatchesNaive) {
   const seq::Sequence text = random_seq(700, 8);
   const index::FmIndex fm(text);
-  // Reconstruct the BWT naively for validation.
+  // Reconstruct the BWT naively for validation (-1 = '$').
   const auto sa = index::build_suffix_array(text);
-  std::vector<int> bwt(text.size() + 1, -1);  // -1 = '$'
-  bwt[0] = static_cast<int>(text.base(text.size() - 1));
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    bwt[i + 1] = sa[i] == 0 ? -1 : static_cast<int>(text.base(sa[i] - 1));
+  std::vector<int> bwt{static_cast<int>(text.base(text.size() - 1))};
+  for (const std::uint32_t pos : sa) {
+    bwt.push_back(pos == 0 ? -1 : static_cast<int>(text.base(pos - 1)));
   }
   for (std::uint8_t c = 0; c < 4; ++c) {
     std::uint32_t count = 0;
@@ -193,6 +192,30 @@ TEST(FmIndex, LocateRecoversPositions) {
       EXPECT_EQ(fm.locate(row), expect) << "row=" << row << " s=" << sample;
     }
   }
+}
+
+TEST(FmIndex, BwtAtIsTheCharacterLeftOfEachSuffix) {
+  // Every row: bwt_at(row) == text[locate(row) - 1], and 4 ('$') for the
+  // primary row, the one suffix starting the text. An N stores its
+  // placeholder code 0, so it reads as A here too; the deserialized index
+  // answers the same.
+  std::string s = random_seq(900, 14).to_string();
+  s.replace(300, 5, "NNNNN");
+  s[0] = 'N';
+  const auto text = seq::Sequence::from_string_lenient(s);
+  const index::FmIndex fm(text);
+  std::vector<std::uint8_t> bytes;
+  fm.serialize(bytes);
+  const index::FmIndex back = index::FmIndex::deserialize(bytes);
+  std::uint32_t primaries = 0;
+  for (std::uint32_t row = 0; row < fm.rows(); ++row) {
+    const std::uint32_t pos = fm.locate(row);
+    const std::uint8_t expect = pos == 0 ? 4 : text.base(pos - 1);
+    primaries += pos == 0;
+    EXPECT_EQ(fm.bwt_at(row), expect) << "row=" << row << " pos=" << pos;
+    EXPECT_EQ(back.bwt_at(row), expect) << "row=" << row;
+  }
+  EXPECT_EQ(primaries, 1u);
 }
 
 TEST(FmIndex, LcpAtMatchesKasaiIncludingLongValues) {

@@ -625,7 +625,11 @@ TEST(SlaMem, LazyMatchesEagerOnBoundaryCases) {
 TEST(SlaMem, LazyMatchesEagerOnMutatedPairs) {
   // Bit-identity property across the L ladder on reference/query pairs in
   // the lazy sweep's target regime: point mutations every ~25 bases leave
-  // long shared stretches at low L and alignment deserts at high L.
+  // long shared stretches at low L and alignment deserts at high L. Both
+  // modes visit the same depth-L intervals and locate only their
+  // left-maximal rows. Such a row always extends >= L, and without invalid
+  // bases clipping is the identity and each (r, j) is emitted once, so rows
+  // located == raw candidates == MEMs.
   for (const std::uint64_t seed : {81u, 82u, 83u}) {
     const auto R = random_seq(3000, seed);
     util::Xoshiro256 rng(seed + 1000);
@@ -643,11 +647,90 @@ TEST(SlaMem, LazyMatchesEagerOnMutatedPairs) {
     lazy.build_index(R, opt);
     for (const std::uint32_t L : {10u, 20u, 40u, 80u, 160u}) {
       const auto e = eager.find_at(Q, L);
-      EXPECT_EQ(e, lazy.find_at(Q, L)) << "seed=" << seed << " L=" << L;
+      const auto l = lazy.find_at(Q, L);
+      EXPECT_EQ(e, l) << "seed=" << seed << " L=" << L;
+      const auto ew = eager.last_find_work();
+      const auto lw = lazy.last_find_work();
+      EXPECT_EQ(ew.rows_located, e.size()) << "seed=" << seed << " L=" << L;
+      EXPECT_EQ(lw.rows_located, l.size()) << "seed=" << seed << " L=" << L;
+      EXPECT_EQ(ew.rows_visited, lw.rows_visited)
+          << "seed=" << seed << " L=" << L;
       if (L == 10) {
         EXPECT_FALSE(e.empty()) << "seed=" << seed;
+        // Inside a shared stretch every start but the first finds its own
+        // aligned row, which extends further left: the BWT test skips it.
+        EXPECT_GT(ew.rows_visited, ew.rows_located) << "seed=" << seed;
       }
     }
+  }
+}
+
+// Eager and lazy slaMEM against the naive oracle at one L; returns the truth.
+std::vector<Mem> expect_slamem_is_naive(const seq::Sequence& R,
+                                        const seq::Sequence& Q,
+                                        std::uint32_t L,
+                                        const std::string& what) {
+  const auto truth = mem::find_mems_naive(R, Q, L);
+  mem::FinderOptions opt;
+  opt.min_length = L;
+  for (const bool lazy : {false, true}) {
+    mem::SlaMemFinder f(lazy);
+    f.build_index(R, opt);
+    EXPECT_EQ(f.find(Q), truth) << what << (lazy ? " lazy" : " eager");
+  }
+  return truth;
+}
+
+bool has_start(const std::vector<Mem>& mems, std::uint32_t r, std::uint32_t q) {
+  return std::any_of(mems.begin(), mems.end(),
+                     [&](const Mem& m) { return m.r == r && m.q == q; });
+}
+
+TEST(SlaMem, LeftCharacterSkipEdgeCases) {
+  const std::string X = random_seq(200, 101).to_string();
+  const std::string Y = random_seq(200, 102).to_string();
+  const std::string M = random_seq(40, 103).to_string();
+  const auto S = [](const std::string& s) {
+    return seq::Sequence::from_string_lenient(s);
+  };
+  // A MEM at q = 0: no query base left of the window, nothing is skipped.
+  EXPECT_TRUE(has_start(
+      expect_slamem_is_naive(S(X + M + Y), S(M + Y.substr(0, 60)), 12, "q=0"),
+      200, 0));
+  // A MEM at r = 0: its row is the primary row, '$' in the BWT, which must
+  // not read as the query's A (the code '$' is stored as) — nor, at q = 0
+  // too, as "no query base".
+  EXPECT_TRUE(has_start(
+      expect_slamem_is_naive(S(M + X), S(Y + "A" + M + X), 12, "r=0"), 0,
+      201));
+  EXPECT_TRUE(has_start(
+      expect_slamem_is_naive(S(M + X), S(M + Y), 12, "r=0 q=0"), 0, 0));
+  // Homopolymer and tandem-repeat references: every row of the depth-L
+  // interval but the primary one shares the left character.
+  for (const std::string& R : {std::string(52, 'A'), [] {
+                                std::string t;
+                                for (int i = 0; i < 17; ++i) t += "ACG";
+                                return t;
+                              }()}) {
+    for (const std::string& q :
+         {R.substr(0, 30), "T" + R.substr(0, 30) + "T",
+          "G" + R.substr(1, 25) + "TT" + R.substr(0, 20)}) {
+      EXPECT_FALSE(
+          expect_slamem_is_naive(S(R), S(q), 8, R + " vs " + q).empty());
+    }
+  }
+  // An N directly left of the match, in R and in Q: its placeholder code 0
+  // reads as A in the BWT, so a query A (or N) left of the window drops the
+  // row. The MEM still comes out, through the mask-blind candidate one base
+  // further left and the clip.
+  for (const auto& [r_left, q_left] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"N", "A"}, {"A", "N"}, {"N", "N"}, {"N", "C"}, {"G", "N"}}) {
+    const auto R = S(X + r_left + M + Y);
+    const auto Q = S(Y.substr(0, 50) + q_left + M + X.substr(0, 50));
+    EXPECT_TRUE(has_start(
+        expect_slamem_is_naive(R, Q, 12, "N left: " + r_left + "/" + q_left),
+        201, 51));
   }
 }
 

@@ -402,12 +402,22 @@ TEST_F(NetLoopback, ConcurrentClientsAllBitIdentical) {
   constexpr int kClients = 4;
   constexpr int kQueriesEach = 3;
 
+  // Appended piecewise: GCC 12 reports a false -Wrestrict on
+  // `"c" + std::to_string(c)`.
+  const auto query_id = [](int c, int i) {
+    std::string id = "c";
+    id += std::to_string(c);
+    id += '-';
+    id += std::to_string(i);
+    return id;
+  };
+
   // Direct answers first, one per (client, query) pair.
   std::map<std::string, std::vector<mem::Mem>> expected;
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kQueriesEach; ++i) {
       const auto query = derived_query(ref_, 100 + c * 16 + i);
-      expected["c" + std::to_string(c) + "-" + std::to_string(i)] =
+      expected[query_id(c, i)] =
           core::Engine(small_config()).run(ref_, query).mems;
     }
   }
@@ -420,7 +430,7 @@ TEST_F(NetLoopback, ConcurrentClientsAllBitIdentical) {
       for (int i = 0; i < kQueriesEach; ++i) {
         const auto query = derived_query(ref_, 100 + c * 16 + i);
         QueryFrame qf;
-        qf.id = "c" + std::to_string(c) + "-" + std::to_string(i);
+        qf.id = query_id(c, i);
         qf.query = query.to_string();
         Reply reply;
         if (!client.query(qf, reply) || !reply.ok() ||

@@ -183,13 +183,14 @@ TEST(Fasta, MultiRecordQueryFileRoundTrip) {
   {
     std::ofstream out(path);
     for (std::size_t i = 0; i < seqs.size(); ++i) {
-      seq::write_fasta(out, "q" + std::to_string(i), seqs[i], 60);
+      seq::write_fasta(out, std::string("q").append(std::to_string(i)),
+                       seqs[i], 60);
     }
   }
   const auto records = seq::read_fasta_file(path);
   ASSERT_EQ(records.size(), seqs.size());
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    EXPECT_EQ(records[i].name, "q" + std::to_string(i));
+    EXPECT_EQ(records[i].name, std::string("q").append(std::to_string(i)));
     EXPECT_TRUE(records[i].sequence == seqs[i]) << "record " << i;
   }
 }
@@ -428,7 +429,9 @@ TEST(PackedSeq, BackwardWindowHoldsEndingBases) {
       EXPECT_EQ((w >> (62 - 2 * k)) & 3, codes[i - k])
           << "i=" << i << " k=" << k;
     }
-    if (i >= 31) EXPECT_EQ(w, s.window64(i - 31));
+    if (i >= 31) {
+      EXPECT_EQ(w, s.window64(i - 31));
+    }
   }
 }
 
@@ -532,8 +535,8 @@ TEST_P(LceBothModes, BackwardClipsAtOriginAdjacentWindows) {
   // prefix code 0 ('A') equals the zero fill bit-for-bit — the spurious
   // match the i + 1 clip exists for; code 3 ('T') mismatches it instead.
   for (const std::uint8_t prefix_code : {std::uint8_t{0}, std::uint8_t{3}}) {
-    std::vector<std::uint8_t> prefixed(40, prefix_code);
-    prefixed.insert(prefixed.end(), shared.begin(), shared.end());
+    std::vector<std::uint8_t> prefixed(40 + shared.size(), prefix_code);
+    std::copy(shared.begin(), shared.end(), prefixed.begin() + 40);
     const Sequence a = Sequence::from_codes(shared);
     const Sequence b = Sequence::from_codes(prefixed);
     for (const std::size_t i :

@@ -502,8 +502,8 @@ TEST(MemServiceTest, HostRoutesShareOneServiceByMinLength) {
   const std::vector<std::pair<std::uint32_t, std::string>> cases = {
       {0, "copmem"}, {16, "copmem"}, {20, "slamem-lazy"}, {28, "slamem-lazy"}};
   for (const auto& [len, path] : cases) {
-    const auto res =
-        service.submit({"L" + std::to_string(len), query, 0.0, len}).get();
+    const std::string id = std::string("L").append(std::to_string(len));
+    const auto res = service.submit({id, query, 0.0, len}).get();
     ASSERT_EQ(res.status, QueryStatus::kOk) << res.error;
     std::vector<mem::Mem> expect = whole;
     std::erase_if(expect, [len](const mem::Mem& m) { return m.len < len; });
