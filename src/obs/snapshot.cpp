@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <ostream>
+
+#include "obs/registry.h"
+#include "util/cli.h"
 
 namespace gm::obs {
 namespace {
@@ -181,6 +185,57 @@ void MetricsSnapshot::write_prometheus(std::ostream& os) const {
 bool MetricsSnapshot::is_known_format(const std::string& fmt) {
   return fmt == "json" || fmt == "prom" || fmt == "prometheus" ||
          fmt == "tsv";
+}
+
+void ExportFlags::describe(util::Cli& cli) {
+  cli.describe("trace-out",
+               "record the run and write a Chrome-trace JSON here (open in "
+               "chrome://tracing or ui.perfetto.dev)");
+  cli.describe("metrics-out", "write run metrics here (see --metrics-format)");
+  cli.describe("metrics-format",
+               "metrics-out format: json (default), prom (Prometheus text "
+               "exposition), or tsv");
+}
+
+ExportFlags ExportFlags::read(const util::Cli& cli) {
+  ExportFlags f{cli.get("trace-out", ""), cli.get("metrics-out", ""),
+                cli.get("metrics-format", "json")};
+  if (!MetricsSnapshot::is_known_format(f.metrics_format)) {
+    throw util::InputError("unknown --metrics-format '" + f.metrics_format +
+                           "' (json, prom, tsv)");
+  }
+  if (!f.trace_out.empty() || !f.metrics_out.empty()) {
+    Registry::global().set_enabled(true);
+  }
+  return f;
+}
+
+void ExportFlags::write(std::ostream& log) const {
+  const auto open = [](const std::string& path, const char* flag) {
+    std::ofstream f(path);
+    if (!f) throw util::InputError(std::string("cannot open --") + flag +
+                                   " file " + path);
+    return f;
+  };
+  Registry& reg = Registry::global();
+  if (!trace_out.empty()) {
+    std::ofstream f = open(trace_out, "trace-out");
+    reg.trace().write_chrome_json(f);
+    log << "[obs] trace (" << reg.trace().size() << " spans) written to "
+        << trace_out << '\n';
+  }
+  if (!metrics_out.empty()) {
+    std::ofstream f = open(metrics_out, "metrics-out");
+    if (metrics_format == "tsv") {
+      reg.metrics().write_tsv(f);
+    } else if (metrics_format == "json") {
+      MetricsSnapshot::capture(reg.metrics()).write_json(f);
+    } else {
+      MetricsSnapshot::capture(reg.metrics()).write_prometheus(f);
+    }
+    log << "[obs] metrics written to " << metrics_out << " ("
+        << metrics_format << ")\n";
+  }
 }
 
 }  // namespace gm::obs

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace gm::seq {
@@ -60,6 +61,29 @@ std::vector<FastaRecord> read_fasta_file(const std::string& path,
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_fasta_file: cannot open " + path);
   return read_fasta(in, policy);
+}
+
+FastaRecord read_reference_file(const std::string& path) {
+  std::vector<FastaRecord> records = read_fasta_file(path);
+  if (records.empty()) {
+    throw util::InputError("reference FASTA " + path + " holds no record");
+  }
+  if (records.front().sequence.empty()) {
+    throw util::InputError("reference FASTA " + path + ": first record '" +
+                           records.front().name + "' is empty");
+  }
+  return std::move(records.front());
+}
+
+std::vector<FastaRecord> read_query_file(const std::string& path) {
+  std::vector<FastaRecord> records = read_fasta_file(path);
+  std::erase_if(records,
+                [](const FastaRecord& r) { return r.sequence.empty(); });
+  if (records.empty()) {
+    throw util::InputError("query FASTA " + path +
+                           " holds no non-empty record");
+  }
+  return records;
 }
 
 void write_fasta(std::ostream& out, const std::string& name,

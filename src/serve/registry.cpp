@@ -49,6 +49,15 @@ std::vector<std::string> ReferenceRegistry::tenants() const {
   return names;
 }
 
+std::string ReferenceRegistry::tenant_of(const std::string& query_name,
+                                         const std::string& fallback) const {
+  const std::string prefix = query_name.substr(0, query_name.find('/'));
+  std::lock_guard lock(mu_);
+  return prefix.size() < query_name.size() && slots_.count(prefix) != 0
+             ? prefix
+             : fallback;
+}
+
 std::string ReferenceRegistry::artifact_path(const std::string& name) const {
   std::lock_guard lock(mu_);
   const auto it = slots_.find(name);

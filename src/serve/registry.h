@@ -70,6 +70,11 @@ class ReferenceRegistry {
   /// Known tenant names, sorted.
   std::vector<std::string> tenants() const;
 
+  /// The tenant a query named "<tenant>/<rest>" routes to: its prefix when
+  /// that names a known tenant, else `fallback`.
+  std::string tenant_of(const std::string& query_name,
+                        const std::string& fallback) const;
+
   /// The artifact path behind `name`; throws StoreError for unknown names.
   std::string artifact_path(const std::string& name) const;
 

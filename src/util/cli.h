@@ -9,10 +9,19 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace gm::util {
+
+/// Outside input a binary cannot use: an empty FASTA, an unknown format
+/// name, an output file that will not open. The binaries exit 2 on it and
+/// 1 on any other error.
+class InputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Cli {
  public:
