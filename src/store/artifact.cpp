@@ -145,6 +145,7 @@ std::vector<std::uint8_t> build_artifact(const seq::Sequence& ref,
   header.seed_len = cfg.seed_len;
   header.step = geo.step;
   header.tile_len = geo.tile_len;
+  header.tau = cfg.threads;
   header.tile_rows = static_cast<std::uint32_t>(
       (ref.size() + geo.tile_len - 1) / geo.tile_len);
   header.min_length = cfg.min_length;

@@ -37,7 +37,7 @@
 namespace gm::store {
 
 inline constexpr char kMagic[8] = {'G', 'M', 'I', 'D', 'X', '\0', '\0', '\0'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Written as the native byte-order fingerprint; a reader on the opposite
 /// endianness sees the byte-swapped value and rejects the file instead of
 /// misinterpreting every array. (The project targets little-endian hosts;
@@ -118,11 +118,20 @@ struct ArtifactHeader {
   std::uint32_t min_length = 0;      ///< L the geometry was resolved under
   std::uint32_t sparseness = 0;      ///< K of kSparseSa (0 = no section)
   std::uint32_t fm_sa_sample = 0;    ///< sample rate of kFmIndex (0 = none)
-  std::uint32_t reserved = 0;
+  std::uint32_t tau = 0;             ///< τ the tile length was resolved at
 
   char ref_name[kRefNameBytes] = {}; ///< NUL-padded registry tenant name
 
   std::uint64_t total_bytes = 0;     ///< exact file size (truncation check)
+
+  /// n_block = tile_len / (τ·Δs); 0 when the recorded geometry does not
+  /// divide (a config with 0 blocks fails validation).
+  std::uint32_t tile_blocks() const {
+    const std::uint64_t block = std::uint64_t{tau} * step;
+    return block == 0 || tile_len % block != 0
+               ? 0
+               : static_cast<std::uint32_t>(tile_len / block);
+  }
 
   std::string name() const {
     return std::string(ref_name,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -449,6 +450,39 @@ TEST_F(NetLoopback, ConcurrentClientsAllBitIdentical) {
   EXPECT_EQ(stats.responses_ok,
             static_cast<std::uint64_t>(kClients * kQueriesEach));
   EXPECT_EQ(stats.malformed, 0u);
+}
+
+TEST_F(NetLoopback, CheckLoopbackCountsIdenticalMismatchedAndLost) {
+  auto server = make_server();
+  std::vector<net::LoopbackCase> cases(5);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto query = derived_query(ref_, 200 + i);
+    cases[i].frame.id = "lb";
+    cases[i].frame.id += std::to_string(i);
+    cases[i].frame.query = query.to_string();
+    cases[i].expected_ok = true;
+    cases[i].expected = core::Engine(small_config()).run(ref_, query).mems;
+    ASSERT_FALSE(cases[i].expected.empty());
+  }
+  cases[1].expected.pop_back();   // a MEM list that differs
+  cases[3].expected_ok = false;   // a status that differs
+  std::ostringstream log;
+  const net::LoopbackCounts n =
+      net::check_loopback(server->port(), 2, cases, log);
+  EXPECT_EQ(n.identical, 3u);
+  EXPECT_EQ(n.mismatched, 2u);
+  EXPECT_EQ(n.transport_errors, 0u);
+  EXPECT_NE(log.str().find("MISMATCH on lb1"), std::string::npos) << log.str();
+  EXPECT_NE(log.str().find("MISMATCH on lb3"), std::string::npos) << log.str();
+
+  // A closed port: each client fails to connect and counts one error.
+  const std::uint16_t port = server->port();
+  server->shutdown();
+  server.reset();
+  const net::LoopbackCounts lost = net::check_loopback(port, 3, cases, log);
+  EXPECT_EQ(lost.identical, 0u);
+  EXPECT_EQ(lost.mismatched, 0u);
+  EXPECT_EQ(lost.transport_errors, 3u);
 }
 
 TEST_F(NetLoopback, FastIndexModeBitIdenticalOverWire) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <random>
 #include <set>
@@ -26,6 +27,7 @@
 #include "obs/trace_context.h"
 #include "seq/synthetic.h"
 #include "serve/service.h"
+#include "util/cli.h"
 #include "util/parallel.h"
 
 namespace gm {
@@ -613,6 +615,46 @@ TEST(Snapshot, KnownFormats) {
   EXPECT_TRUE(obs::MetricsSnapshot::is_known_format("tsv"));
   EXPECT_FALSE(obs::MetricsSnapshot::is_known_format("xml"));
   EXPECT_FALSE(obs::MetricsSnapshot::is_known_format(""));
+}
+
+TEST(Snapshot, ExportFlagsRejectUnknownFormatAndWriteEachFile) {
+  ObsTestGuard guard;
+  obs::Registry::global().set_enabled(false);
+  {
+    const char* argv[] = {"prog", "--metrics-format", "xml"};
+    const util::Cli cli(3, const_cast<char**>(argv));
+    EXPECT_THROW(obs::ExportFlags::read(cli), util::InputError);
+    EXPECT_FALSE(obs::Registry::global().enabled());
+  }
+  {
+    const char* argv[] = {"prog"};
+    const util::Cli cli(1, const_cast<char**>(argv));
+    const obs::ExportFlags f = obs::ExportFlags::read(cli);
+    EXPECT_EQ(f.metrics_format, "json");
+    EXPECT_FALSE(obs::Registry::global().enabled());  // nothing asked for
+  }
+  const std::string trace = ::testing::TempDir() + "/gm_export.trace.json";
+  const std::string metrics = ::testing::TempDir() + "/gm_export.prom";
+  const char* argv[] = {"prog",          "--trace-out",      trace.c_str(),
+                        "--metrics-out", metrics.c_str(),    "--metrics-format",
+                        "prom"};
+  const util::Cli cli(7, const_cast<char**>(argv));
+  const obs::ExportFlags f = obs::ExportFlags::read(cli);
+  EXPECT_TRUE(obs::Registry::global().enabled());
+  obs::Registry::global().metrics().counter("export.test", "a test").add(3);
+  std::ostringstream log;
+  f.write(log);
+  std::ostringstream prom;
+  prom << std::ifstream(metrics).rdbuf();
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("gpumem_export_test_total 3"), std::string::npos)
+      << text;
+  EXPECT_TRUE(std::ifstream(trace).good());
+  EXPECT_NE(log.str().find(trace), std::string::npos) << log.str();
+
+  obs::ExportFlags unwritable = f;
+  unwritable.trace_out = ::testing::TempDir() + "/no-such-dir/t.json";
+  EXPECT_THROW(unwritable.write(log), util::InputError);
 }
 
 TEST(Snapshot, SnapshotAgreesWithLiveRegistry) {

@@ -8,6 +8,7 @@
 #include "seq/packed.h"
 #include "seq/sequence.h"
 #include "seq/synthetic.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace gm {
@@ -295,6 +296,51 @@ TEST(Fasta, FileRoundTrip) {
   EXPECT_TRUE(records[0].sequence == s);
   EXPECT_THROW(seq::read_fasta_file(path + ".does-not-exist"),
                std::runtime_error);
+}
+
+TEST(Fasta, ReferenceAndQueryLoadersNameTheFileAndCause) {
+  const std::string dir = ::testing::TempDir();
+  const auto write = [&dir](const char* name, const char* text) {
+    std::ofstream(dir + "/" + name) << text;
+    return dir + "/" + name;
+  };
+  const std::string two = write("gm_loader_two.fa", ">r1\nACGT\n>r2\nGG\n");
+  const seq::FastaRecord ref = seq::read_reference_file(two);
+  EXPECT_EQ(ref.name, "r1");
+  EXPECT_EQ(ref.sequence.to_string(), "ACGT");
+
+  const std::string holey =
+      write("gm_loader_holey.fa", ">e1\n>q1\nACGT\n>e2\n>q2\nTT\n");
+  const auto queries = seq::read_query_file(holey);
+  ASSERT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries[0].name, "q1");
+  EXPECT_EQ(queries[1].name, "q2");
+
+  const auto message = [](auto&& load) {
+    try {
+      load();
+    } catch (const util::InputError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no InputError");
+  };
+  const std::string empty_first = write("gm_loader_empty.fa", ">e\n>r\nA\n");
+  EXPECT_EQ(message([&] { seq::read_reference_file(empty_first); }),
+            "reference FASTA " + empty_first + ": first record 'e' is empty");
+  const std::string none = write("gm_loader_none.fa", "");
+  EXPECT_EQ(message([&] { seq::read_reference_file(none); }),
+            "reference FASTA " + none + " holds no record");
+  const std::string blanks = write("gm_loader_blanks.fa", ">e1\n>e2\n");
+  EXPECT_EQ(message([&] { seq::read_query_file(blanks); }),
+            "query FASTA " + blanks + " holds no non-empty record");
+  // A file that will not open is no InputError: the binaries exit 1 on it.
+  try {
+    seq::read_query_file(dir + "/gm_loader_missing.fa");
+    FAIL() << "a missing file loaded";
+  } catch (const util::InputError& e) {
+    FAIL() << "a missing file is an InputError: " << e.what();
+  } catch (const std::runtime_error&) {
+  }
 }
 
 TEST(Sequence, WindowPastEndIsZeroFilled) {

@@ -141,6 +141,8 @@ TEST(StoreRoundTrip, FileOpenIsMappedAndHeaderFaithful) {
   EXPECT_EQ(h.ref_invalid, ref.invalid_count());
   EXPECT_EQ(h.seed_len, cfg.seed_len);
   EXPECT_EQ(h.min_length, cfg.min_length);
+  EXPECT_EQ(h.tau, cfg.threads);
+  EXPECT_EQ(h.tile_blocks(), cfg.tile_blocks);
   EXPECT_TRUE(art.has_section(SectionId::kSeqPacked));
   EXPECT_TRUE(art.has_section(SectionId::kSeqMask));
   EXPECT_FALSE(art.has_section(SectionId::kSuffixArray));
@@ -322,6 +324,27 @@ TEST(StoreCorruption, FutureVersionRejected) {
   expect_rejected(std::move(image), "version");
 }
 
+TEST(StoreCorruption, VersionOneRejected) {
+  // Version 1 headers had no τ; they must be rebuilt, not guessed at.
+  auto image = make_specimen().image;
+  const std::uint32_t v1 = 1;
+  std::memcpy(image.data() + offsetof(ArtifactHeader, version), &v1,
+              sizeof v1);
+  expect_rejected(std::move(image), "format version 1");
+}
+
+TEST(StoreCorruption, HeaderTileBlocksIsZeroWhenGeometryDoesNotDivide) {
+  ArtifactHeader h;
+  h.tau = 16;
+  h.step = 7;
+  h.tile_len = 16 * 7 * 2;
+  EXPECT_EQ(h.tile_blocks(), 2u);
+  h.tile_len += 1;
+  EXPECT_EQ(h.tile_blocks(), 0u);
+  h.tau = 0;
+  EXPECT_EQ(h.tile_blocks(), 0u);
+}
+
 TEST(StoreCorruption, OppositeEndiannessRejected) {
   auto image = make_specimen().image;
   const std::uint32_t swapped = 0x04030201u;  // kEndianTag byte-reversed
@@ -445,6 +468,16 @@ TEST_F(RegistryTest, ScansLazilyAndCountsHits) {
 
   EXPECT_THROW(reg.acquire("delta"), StoreError);
   EXPECT_THROW(reg.artifact_path("delta"), StoreError);
+}
+
+TEST_F(RegistryTest, TenantOfRoutesByKnownNamePrefix) {
+  const serve::ReferenceRegistry reg(dir_.string(), base());
+  EXPECT_EQ(reg.tenant_of("beta/read7", "alpha"), "beta");
+  EXPECT_EQ(reg.tenant_of("beta/x/y", ""), "beta");
+  EXPECT_EQ(reg.tenant_of("delta/read7", "alpha"), "alpha");  // unknown
+  EXPECT_EQ(reg.tenant_of("beta", "alpha"), "alpha");  // no prefix
+  EXPECT_EQ(reg.tenant_of("/read7", ""), "");
+  EXPECT_EQ(reg.stats().loads, 0u);  // routing activates nothing
 }
 
 TEST_F(RegistryTest, ServesBitIdenticalMemsPerTenant) {
