@@ -8,7 +8,8 @@
 
 namespace gm::index {
 
-/// Kasai et al. linear-time LCP for a *full* suffix array.
+/// Linear-time LCP for a *full* suffix array (the Kasai et al. result, built
+/// by the Φ/PLCP method: two n-word arrays, text-order LCE probes).
 /// lcp[i] = length of the common prefix of suffixes sa[i-1] and sa[i];
 /// lcp[0] = 0. Output length equals sa length.
 std::vector<std::uint32_t> build_lcp_kasai(const seq::Sequence& seq,

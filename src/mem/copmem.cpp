@@ -7,9 +7,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "mem/clip.h"
 #include "mem/common.h"
-#include "util/parallel.h"
+#include "mem/sharded_find.h"
 #include "util/timer.h"
 
 namespace gm::mem {
@@ -100,16 +99,9 @@ std::vector<Mem> CopMemFinder::find(const seq::Sequence& query) const {
   // Sampled pairs on a diagonal are k1*k2 apart (gcd(k1,k2)=1, CRT), so the
   // first-lattice-point dedupe runs on that grid.
   const std::uint32_t grid = params_.k1 * params_.k2;
-  const std::uint32_t shards = std::max(1u, opt_.threads);
-
-  std::vector<std::vector<Mem>> partial(shards);
-  auto body = [&](std::size_t shard) {
-    std::vector<Mem>& out = partial[shard];
-    if (query.size() < K) return;
-    const std::size_t total = (query.size() - K) / k2 + 1;
-    const std::size_t chunk = (total + shards - 1) / shards;
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(total, begin + chunk);
+  const std::size_t probes =
+      query.size() < K ? 0 : (query.size() - K) / k2 + 1;
+  auto probe = [&](std::size_t begin, std::size_t end, std::vector<Mem>& out) {
     for (std::size_t s = begin; s < end; ++s) {
       const std::uint32_t j = static_cast<std::uint32_t>(s * k2);
       for (const std::uint32_t p : idx_->lookup(query.kmer(j, K))) {
@@ -117,19 +109,8 @@ std::vector<Mem> CopMemFinder::find(const seq::Sequence& query) const {
       }
     }
   };
-
-  const util::ShardedExecutor exec(opt_.sequential_shards
-                                       ? util::ShardedExecutor::Policy::kSequential
-                                       : util::ShardedExecutor::Policy::kAuto);
-  const util::ShardReport report = exec.run(shards, body);
-  last_seconds_ = report.modeled_parallel_seconds();
-
-  std::vector<Mem> out;
-  for (auto& p : partial) out.insert(out.end(), p.begin(), p.end());
-  if (drop_candidate_ && !out.empty()) out.erase(out.begin());
-  clip_invalid_bases(*ref_, query, out, L);
-  sort_unique(out);
-  return out;
+  return find_sharded(*ref_, query, opt_, probes, probe, last_seconds_,
+                      drop_candidate_);
 }
 
 }  // namespace gm::mem

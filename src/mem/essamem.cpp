@@ -2,9 +2,8 @@
 
 #include <stdexcept>
 
-#include "mem/clip.h"
 #include "mem/common.h"
-#include "util/parallel.h"
+#include "mem/sharded_find.h"
 
 namespace gm::mem {
 
@@ -21,16 +20,9 @@ std::vector<Mem> EssaMemFinder::find(const seq::Sequence& query) const {
   const std::uint32_t L = opt_.min_length;
   const std::uint32_t K = opt_.sparseness;
   const std::uint32_t depth = L - K + 1;
-  const std::uint32_t shards = std::max(1u, opt_.threads);
-
-  std::vector<std::vector<Mem>> partial(shards);
-  auto body = [&](std::size_t shard) {
-    std::vector<Mem>& out = partial[shard];
-    if (query.size() < depth) return;
-    const std::size_t total = query.size() - depth + 1;
-    const std::size_t chunk = (total + shards - 1) / shards;
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(total, begin + chunk);
+  const std::size_t probes =
+      query.size() < depth ? 0 : query.size() - depth + 1;
+  auto probe = [&](std::size_t begin, std::size_t end, std::vector<Mem>& out) {
     for (std::size_t j = begin; j < end; ++j) {
       const auto descent = esa_->descend(query, j, depth);
       if (descent.matched < depth) continue;
@@ -41,18 +33,7 @@ std::vector<Mem> EssaMemFinder::find(const seq::Sequence& query) const {
       }
     }
   };
-
-  const util::ShardedExecutor exec(opt_.sequential_shards
-                                       ? util::ShardedExecutor::Policy::kSequential
-                                       : util::ShardedExecutor::Policy::kAuto);
-  const util::ShardReport report = exec.run(shards, body);
-  last_seconds_ = report.modeled_parallel_seconds();
-
-  std::vector<Mem> out;
-  for (auto& p : partial) out.insert(out.end(), p.begin(), p.end());
-  clip_invalid_bases(*ref_, query, out, L);
-  sort_unique(out);
-  return out;
+  return find_sharded(*ref_, query, opt_, probes, probe, last_seconds_);
 }
 
 }  // namespace gm::mem

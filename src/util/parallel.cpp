@@ -39,46 +39,19 @@ ShardReport ShardedExecutor::run(
   ShardReport report;
   report.shard_seconds.assign(shards, 0.0);
   Timer wall;
-
-  bool concurrent = false;
-  switch (policy_) {
-    case Policy::kConcurrent:
-      concurrent = true;
-      break;
-    case Policy::kSequential:
-      concurrent = false;
-      break;
-    case Policy::kAuto:
-      concurrent = ThreadPool::global().size() >= shards;
-      break;
-  }
-
-  if (concurrent) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      futures.push_back(ThreadPool::global().submit([&, s] {
-        Timer t;
-        body(s);
-        report.shard_seconds[s] = t.seconds();
-      }));
-    }
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) {
-      Timer t;
-      body(s);
-      report.shard_seconds[s] = t.seconds();
-    }
-  }
+  const bool concurrent =
+      policy_ == Policy::kConcurrent ||
+      (policy_ == Policy::kAuto && ThreadPool::global().size() >= shards);
+  // One pool task per shard; a single chunk (one shard, or kSequential) runs
+  // back to back on the calling thread.
+  parallel_for_chunked(0, shards, concurrent ? shards : 1,
+                       [&](std::size_t b, std::size_t e) {
+                         for (std::size_t s = b; s < e; ++s) {
+                           Timer t;
+                           body(s);
+                           report.shard_seconds[s] = t.seconds();
+                         }
+                       });
   report.wall_seconds = wall.seconds();
   return report;
 }

@@ -64,10 +64,13 @@ struct ShardReport {
 /// Executes `shards` independent bodies and reports per-shard timings.
 ///
 /// Policy:
-///  * kConcurrent — run on the global pool (true parallel execution).
+///  * kConcurrent — one global-pool task per shard (true parallel execution).
 ///  * kSequential — run back-to-back on the calling thread; deterministic
 ///    and interference-free, used for timing studies on undersized hosts.
-///  * kAuto — concurrent when hardware threads >= shards, else sequential.
+///  * kAuto — concurrent when the global pool has >= shards workers, else
+///    sequential.
+/// Under every policy a single shard runs on the calling thread (no pool
+/// round trip); its time is still recorded in shard_seconds.
 class ShardedExecutor {
  public:
   enum class Policy { kAuto, kSequential, kConcurrent };

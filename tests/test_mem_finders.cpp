@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cctype>
 #include <numeric>
+#include <string>
 
 #include "core/finders.h"
 #include "mem/common.h"
@@ -386,22 +387,34 @@ TEST(CopMem, DedupesMemReachableFromManySampledPairs) {
   EXPECT_EQ(std::count(got.begin(), got.end(), planted), 1);
 }
 
-TEST(CopMem, ShardedFindMatchesSequential) {
+TEST(SampledFinders, ShardedFindMatchesOneShard) {
+  // The sampled finders share one sharded find (mem::find_sharded): any
+  // shard count, run concurrently or back to back, yields the one-shard MEM
+  // set.
   const auto base = seq::GenomeModel{.length = 4000}.generate(93);
   seq::MutationModel mut;
   mut.snp_rate = 0.02;
   const auto query = mut.apply(base, 94);
-  mem::FinderOptions opt;
-  opt.min_length = 20;
-  mem::CopMemFinder seq_f;
-  seq_f.build_index(base, opt);
-  const auto truth = seq_f.find(query);
-  ASSERT_FALSE(truth.empty());
-  mem::FinderOptions par = opt;
-  par.threads = 5;
-  mem::CopMemFinder par_f;
-  par_f.build_index(base, par);
-  EXPECT_EQ(par_f.find(query), truth);
+  for (const std::string name : {"copmem", "sparsemem", "essamem"}) {
+    mem::FinderOptions opt;
+    opt.min_length = 20;
+    opt.sparseness = name == "copmem" ? 1 : 4;
+    auto one = mem::create_finder(name);
+    one->build_index(base, opt);
+    const auto truth = one->find(query);
+    ASSERT_FALSE(truth.empty()) << name;
+    for (const std::uint32_t threads : {1u, 2u, 5u}) {
+      for (const bool sequential : {false, true}) {
+        mem::FinderOptions sharded = opt;
+        sharded.threads = threads;
+        sharded.sequential_shards = sequential;
+        auto f = mem::create_finder(name);
+        f->build_index(base, sharded);
+        EXPECT_EQ(f->find(query), truth)
+            << name << " threads " << threads << " sequential " << sequential;
+      }
+    }
+  }
 }
 
 TEST(CopMem, InjectedCandidateDropLosesExactlyOneMem) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/bits.h"
@@ -205,6 +206,20 @@ TEST(ShardedExecutor, ConcurrentAlsoRuns) {
   std::atomic<int> n{0};
   exec.run(5, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 5);
+}
+
+TEST(ShardedExecutor, OneShardRunsOnTheCallingThread) {
+  // A one-shard run never makes a pool round trip, whatever the policy, and
+  // still reports its shard's time.
+  for (const auto policy : {util::ShardedExecutor::Policy::kAuto,
+                            util::ShardedExecutor::Policy::kConcurrent}) {
+    std::thread::id ran_on;
+    const util::ShardReport report = util::ShardedExecutor(policy).run(
+        1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    ASSERT_EQ(report.shard_seconds.size(), 1u);
+    EXPECT_GE(report.shard_seconds[0], 0.0);
+  }
 }
 
 TEST(Histogram, CapAndTotals) {
