@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
   gm::core::describe_engine_flags(cli, cli_defaults());
   cli.describe("backend", "gpumem backend: native (default) or simt");
   cli.describe("finder",
-               "tool: gpumem (default), mummer, sparsemem, essamem, slamem, "
-               "slamem-lazy (long-MEM sweep), copmem (double-sampling fast "
-               "index)");
+               "tool: gpumem (default), mummer, sparsemem, essamem, slamem "
+               "(probes where they pay), slamem-lazy (probes at every "
+               "frontier), copmem (double-sampling fast index)");
   cli.describe("both-strands", "also match the reverse-complement query");
   cli.describe("mum", "keep only matches unique in both sequences");
   cli.describe("out",

@@ -80,8 +80,8 @@ enum class Fault {
   /// there and shrink it to a minimal reproducer.
   kCopmemDropCandidate,
   /// Simulates a skipped survivor in the lazy long-MEM slaMEM sweep: the
-  /// first window confirmed to reach depth >= L is dropped before the
-  /// deferred widen/locate pass (mem::SlaMemFinder::inject_lazy_skip).
+  /// first window confirmed to reach depth >= L is never located
+  /// (mem::SlaMemFinder::inject_lazy_skip).
   /// Applied to the lazy-slamem oracle only, so the harness must localize
   /// the "missing" divergence there and shrink it.
   kLazySkipConfirmed,

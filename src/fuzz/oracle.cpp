@@ -192,7 +192,7 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
   }
 
   // CPU baseline finders.
-  for (const char* name : {"mummer", "sparsemem", "essamem", "slamem"}) {
+  for (const char* name : {"mummer", "sparsemem", "essamem"}) {
     try {
       const auto finder = mem::create_finder(name);
       finder->build_index(ref, opt);
@@ -201,6 +201,26 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
     } catch (const std::exception& e) {
       out.divergences.push_back({name, "error", e.what()});
     }
+  }
+
+  // The default slaMEM sweep probes for absence only where probes pay,
+  // which the sampled L rarely reaches. When it issued none, it also runs
+  // at kProbedL, where a 32-long probe kills 9 starts and the first
+  // frontier always probes, against the truth at that length.
+  try {
+    constexpr std::uint32_t kProbedL = 40;
+    mem::SlaMemFinder slamem;
+    slamem.build_index(ref, opt);
+    check_output("slamem", truth, slamem.find(query), ref, query, c.min_len,
+                 out);
+    if (slamem.last_find_work().probes == 0 && query.size() >= kProbedL) {
+      std::vector<mem::Mem> want = truth;
+      std::erase_if(want, [](const mem::Mem& m) { return m.len < kProbedL; });
+      check_output("slamem", want, slamem.find_at(query, kProbedL), ref,
+                   query, kProbedL, out);
+    }
+  } catch (const std::exception& e) {
+    out.divergences.push_back({"slamem", "error", e.what()});
   }
 
   // copMEM double-sampled finder, with its injectable candidate-drop
@@ -216,11 +236,10 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
     out.divergences.push_back({"copmem", "error", e.what()});
   }
 
-  // Lazy long-MEM slaMEM sweep (FinderOptions::lazy_lcp), with its
-  // injectable skipped-survivor defect: bit-identity with the eager sweep
-  // is the tentpole claim, so this oracle runs on every case. The fault
-  // must surface here as a "missing" divergence while every other oracle
-  // (including eager slamem above) stays clean.
+  // The slaMEM sweep probing at every frontier (FinderOptions::lazy_lcp),
+  // with its injectable skipped-survivor defect. The fault must surface
+  // here as a "missing" divergence while every other oracle (including
+  // slamem above) stays clean.
   try {
     mem::SlaMemFinder lazy;
     lazy.inject_lazy_skip(fault == Fault::kLazySkipConfirmed);

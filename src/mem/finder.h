@@ -25,12 +25,11 @@ struct FinderOptions {
   /// (see DESIGN.md). true = always run shards sequentially.
   bool sequential_shards = false;
 
-  /// Long-MEM mode for the FM-index (slaMEM-class) finder: defer LCP
-  /// widening and locate() to windows already proven to reach length >= L,
-  /// and skip dead query regions outright instead of maintaining full
-  /// matching statistics. Output is bit-identical to the eager sweep; the
-  /// win grows with L (see PERFORMANCE.md "Long-MEM mode"). Ignored by
-  /// finders without a lazy path.
+  /// Long-MEM mode for the FM-index (slaMEM-class) finder: probe for
+  /// absent substrings at every frontier of the sweep, not only where the
+  /// default policy expects probes to pay (mem/slamem.h). Output is
+  /// bit-identical; see PERFORMANCE.md "Long-MEM mode". Ignored by finders
+  /// without a probe policy.
   bool lazy_lcp = false;
 };
 

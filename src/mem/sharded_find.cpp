@@ -7,12 +7,18 @@
 
 namespace gm::mem {
 
+std::size_t shard_count(std::size_t probes, std::uint32_t threads) {
+  const std::size_t by_work = (probes + kProbesPerShard - 1) / kProbesPerShard;
+  return std::max<std::size_t>(
+      1, std::min<std::size_t>(std::max(1u, threads), by_work));
+}
+
 std::vector<Mem> find_sharded(const seq::Sequence& ref,
                               const seq::Sequence& query,
                               const FinderOptions& opt, std::size_t probes,
                               const ProbeFn& probe, double& modeled_seconds,
                               bool drop_first_candidate) {
-  const std::size_t shards = std::max(1u, opt.threads);
+  const std::size_t shards = shard_count(probes, opt.threads);
   const std::size_t chunk = (probes + shards - 1) / shards;
   std::vector<std::vector<Mem>> partial(shards);
   auto body = [&](std::size_t shard) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -18,11 +19,23 @@ namespace gm::mem {
 using ProbeFn = std::function<void(std::size_t begin, std::size_t end,
                                    std::vector<Mem>& out)>;
 
-/// Runs probes [0, probes) in max(1, opt.threads) contiguous shards
-/// (sequentially when opt.sequential_shards; one shard runs on the calling
-/// thread), concatenates the shards' candidates in shard order, optionally
-/// drops the first raw candidate (the copMEM fuzz-oracle fault), then clips
-/// invalid bases at opt.min_length and returns the sorted, deduplicated set.
+/// Probes one shard must carry before the find splits off another. A pool
+/// round trip costs ~4-7 us per extra shard (a 150 bp copMEM find at L 30
+/// reads 1.7 us in one shard, 8.4 us in two and 13.7 us in four), and a
+/// copMEM probe, the cheapest of the three, ~0.11 us: 256 probes are ~28 us
+/// of copMEM work and ~120 us of sparseMEM work, several dispatches' worth.
+/// Every read up to ~256 bp thus runs as one shard.
+inline constexpr std::size_t kProbesPerShard = 256;
+
+/// min(max(1, threads), ceil(probes / kProbesPerShard)), and at least 1.
+std::size_t shard_count(std::size_t probes, std::uint32_t threads);
+
+/// Runs probes [0, probes) in shard_count(probes, opt.threads) contiguous
+/// shards (sequentially when opt.sequential_shards; one shard runs on the
+/// calling thread), concatenates the shards' candidates in shard order,
+/// optionally drops the first raw candidate (the copMEM fuzz-oracle fault),
+/// then clips invalid bases at opt.min_length and returns the sorted,
+/// deduplicated set.
 /// `modeled_seconds` receives the longest shard's wall time.
 std::vector<Mem> find_sharded(const seq::Sequence& ref,
                               const seq::Sequence& query,

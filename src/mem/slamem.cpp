@@ -1,11 +1,13 @@
 #include "mem/slamem.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
 #include "mem/clip.h"
 #include "mem/common.h"
+#include "obs/registry.h"
 #include "util/timer.h"
 
 namespace gm::mem {
@@ -44,16 +46,26 @@ std::vector<Mem> SlaMemFinder::find_at(const seq::Sequence& query,
   std::vector<Mem> out;
   Work work;
   if (!query.empty()) {
-    if (lazy()) {
-      find_lazy(query, min_length, out, work);
-    } else {
-      find_eager(query, min_length, out, work);
-    }
+    sweep(query, min_length, out, work);
     clip_invalid_bases(*ref_, query, out, min_length);
     sort_unique(out);
   }
   last_seconds_ = timer.seconds();
   last_work_ = work;
+  if (obs::enabled()) {
+    obs::Metrics& metrics = obs::Registry::global().metrics();
+    metrics.counter("mem.slamem.backward_steps", "FmIndex::extend calls")
+        .add(work.backward_steps);
+    metrics.counter("mem.slamem.parent_jumps", "lcp_at + widen parent jumps")
+        .add(work.parent_jumps);
+    metrics.counter("mem.slamem.probes", "absence probes issued")
+        .add(work.probes);
+    metrics.counter("mem.slamem.probes_absent", "probes found absent")
+        .add(work.probes_absent);
+    metrics.counter("mem.slamem.starts_killed",
+                    "window starts killed by absence certificates")
+        .add(work.starts_killed);
+  }
   return out;
 }
 
@@ -76,110 +88,167 @@ void SlaMemFinder::emit_rows(index::SaInterval iv, const seq::Sequence& query,
   }
 }
 
-void SlaMemFinder::find_eager(const seq::Sequence& query, std::uint32_t L,
-                              std::vector<Mem>& out, Work& work) const {
-  // Right-to-left matching-statistics sweep (Ohlebusch-style backward
-  // search): (iv, m) is the FM row interval of the longest reference match
-  // of the window query[j .. j+m). Prepending query[j-1] is one backward
-  // step; when it fails, the window is shortened from the right by jumping
-  // to the parent LCP interval — the operation slaMEM's sampled LCP array
-  // accelerates.
-  index::SaInterval iv = fm_->all_rows();
-  std::uint32_t m = 0;
-  for (std::size_t jj = query.size(); jj-- > 0;) {
-    const std::uint32_t j = static_cast<std::uint32_t>(jj);
-    const std::uint8_t c = query.base(j);
-    for (;;) {
-      const index::SaInterval grown = fm_->extend(iv, c);
-      if (!grown.empty()) {
-        iv = grown;
-        ++m;
-        break;
-      }
-      if (m == 0) {
-        iv = fm_->all_rows();
-        break;
-      }
-      // Parent jump: widen to the deepest branching depth below m.
-      const std::uint32_t parent_depth =
-          std::max(fm_->lcp_at(iv.lo), fm_->lcp_at(iv.hi));
-      m = std::min(m - 1, parent_depth);
-      iv = fm_->widen(iv, m);
-      if (m == 0) iv = fm_->all_rows();
-    }
-    if (m >= L) emit_rows(iv, query, j, L, out, work);
-  }
-}
+namespace {
 
-void SlaMemFinder::find_lazy(const seq::Sequence& query, std::uint32_t L,
-                             std::vector<Mem>& out, Work& work) const {
-  // Long-MEM sweep. A MEM of length >= L starts at j iff the window
-  // query[j .. j+L) occurs in the reference, i.e. iff MS[j] >= L — so the
-  // sweep only needs MS *thresholded* at L, never the exact values, and any
-  // absent substring query[a .. b) certifies a whole block of dead starts at
-  // once: every window containing it, j in [b-L, a]. Right-to-left over the
-  // frontier f (highest unresolved start):
+/// Where the sweep probes. The recurrence leaves to probe at a depth drop
+/// below leave_below() past the frontier, and after an absent probe the
+/// sweep probes again iff probe_cold(); both are fixed by the policy, or —
+/// for Probe::kWhenItPays — re-derived after every probe outcome, so the
+/// recurrence's exit test costs one compare whatever the policy.
+class ProbeGate {
+ public:
+  ProbeGate(SlaMemFinder::Probe policy, std::uint32_t len, std::uint32_t lambda,
+            std::size_t ref_size)
+      : policy_(policy),
+        len_(len),
+        lambda_(lambda),
+        // A random string is absent once it outgrows ~log4 |R| characters.
+        prior_absent_steps_(
+            std::log2(static_cast<double>(ref_size) + 2) / 2 + 2) {
+    decide();
+  }
+
+  bool probe_cold() const { return probe_cold_; }
+  std::uint32_t leave_below() const { return leave_below_; }
+
+  void record(bool absent, std::uint64_t steps) {
+    if (policy_ != SlaMemFinder::Probe::kWhenItPays) return;
+    ++issued_;
+    if (absent) {
+      ++absent_;
+      absent_steps_ += steps;
+    }
+    decide();
+  }
+
+ private:
+  // Break-even in FM operations (backward steps + parent jumps). Each start
+  // the recurrence resolves costs kOpsPerStart; an absent probe costs its
+  // observed mean steps a and kills L-lambda+1 starts; a present one costs
+  // lambda steps and a cold restart. p is the share of the find's probes
+  // that came back absent, with one absent pseudo-probe as prior.
+  void decide() {
+    const std::uint32_t exit_depth = lambda_ / 2;
+    if (policy_ != SlaMemFinder::Probe::kWhenItPays) {
+      const bool always = policy_ == SlaMemFinder::Probe::kAlways;
+      probe_cold_ = always;
+      leave_below_ = always ? exit_depth : 0;
+      return;
+    }
+    const double e = kOpsPerStart;
+    const double L = len_;
+    const double lambda = lambda_;
+    const double p = (absent_ + 1.0) / (issued_ + 1.0);
+    const double a = (absent_steps_ + prior_absent_steps_) / (absent_ + 1.0);
+    const double gain = (L - lambda + 1) * e - a;  // of one absent probe
+    // Cold at a frontier: probe on, or restart at the frontier plus L.
+    probe_cold_ = p * gain > (1 - p) * lambda;
+    // Extra cost of being cold rather than warm there: the restart's L
+    // repeated starts, less what probing on saves.
+    const double restart = L * e;
+    const double cold =
+        !probe_cold_ ? restart
+        : p >= 1     ? 0.0
+                     : std::clamp(lambda + restart - p / (1 - p) * gain, 0.0,
+                                  restart);
+    // Warm at depth m: probing also takes the free certificate's L-m
+    // starts, and a present probe repeats m starts in its restart. It pays
+    // iff p * ((L-m)e + gain - cold) > (1-p) * (lambda + m e), that is iff
+    // m e < p * (restart + gain - cold) - (1-p) * lambda.
+    const double bound = (p * (restart + gain - cold) - (1 - p) * lambda) / e;
+    leave_below_ = bound <= 0 ? 0
+                              : static_cast<std::uint32_t>(std::min<double>(
+                                    exit_depth, std::ceil(bound)));
+  }
+
+  // Backward steps plus parent jumps per start of the eager recurrence
+  // where the depth stays low (the unrelated Table-II pair dmel_s/ecoli_s:
+  // 1.84 steps + 0.84 jumps per start).
+  static constexpr double kOpsPerStart = 2.7;
+
+  SlaMemFinder::Probe policy_;
+  std::uint32_t len_, lambda_;
+  double prior_absent_steps_;
+  double issued_ = 0, absent_ = 0, absent_steps_ = 0;
+  bool probe_cold_ = false;
+  std::uint32_t leave_below_ = 0;
+};
+
+}  // namespace
+
+void SlaMemFinder::sweep(const seq::Sequence& query, std::uint32_t L,
+                         std::vector<Mem>& out, Work& work) const {
+  // Right-to-left over the frontier f, the highest unresolved window start.
+  // The recurrence (Ohlebusch-style backward search) keeps (iv, m), the FM
+  // row interval of the window query[x .. x+m), started cold at R0 = f+L:
+  // prepending query[x-1] is one backward step, and when it fails the
+  // window is shortened from the right by jumping to the parent LCP
+  // interval — the operation slaMEM's sampled LCP array accelerates. From a
+  // cold start the tracked depth is exactly min(MS[x], R0-x) (occurrence is
+  // prefix-closed), so for every x <= f the threshold test m >= L is exact,
+  // and m >= L implies x <= f: no start is confirmed twice. A window
+  // reaching depth L is located at once (emit_rows).
   //
-  //  1. Probe: backward-search the short string query[f .. f+lambda). If it
-  //     is absent, every start in [f+lambda-L, f] is dead — the frontier
-  //     jumps L-lambda+1 positions for at most lambda extend steps.
-  //  2. Otherwise run the eager MS recurrence from a cold start at
-  //     R0 = f+L. From a cold start the tracked depth is exactly
-  //     min(MS[x], R0-x) (occurrence is prefix-closed), so for every x <= f
-  //     the threshold test m >= L is exact. Positions reaching depth >= L
-  //     are recorded with their interval; their lcp widening to depth L and
-  //     all locate() calls are batch-deferred to the end. The moment the
-  //     sweep is past f and its depth drops below lambda/2, the string
-  //     query[x .. x+m+1) is a fresh absence certificate — jump to
-  //     x+m-L and go back to probing.
-  //
-  // Outputs are bit-identical to eager mode: the confirmed set is exactly
-  // {x : MS[x] >= L}, and widen(iv, L) lands on the same maximal depth-L
-  // interval from any nonempty sub-interval of it.
+  // Absence certificates: any substring query[a .. b) absent from the
+  // reference kills every start in [b-L, a]. Two kinds arise:
+  //  - past f with exact depth m, query[x .. x+m+1) is absent, which kills
+  //    [x+m+1-L, x-1] for free;
+  //  - a probe backward-searches query[f .. f+lambda); absent, it kills
+  //    [f+lambda-L, f] for at most lambda steps.
+  // The recurrence leaves at a depth drop below lambda/2 only to probe, and
+  // a present probe restarts it cold at f+L. The policy decides where:
+  // never (eager), always (lazy), or when it pays (ProbeGate).
   const std::int64_t n = static_cast<std::int64_t>(query.size());
   const std::int64_t len = static_cast<std::int64_t>(L);
-  if (n < len) return;  // no window of length L exists; eager finds nothing
-
-  struct Confirmed {
-    index::SaInterval iv;  // interval of query[j .. j+m) at depth m >= L
-    std::uint32_t j;
-  };
-  std::vector<Confirmed> confirmed;
+  if (n < len) return;  // no window of length L exists
 
   // Probe length: past the random-match noise floor (~log4 of the reference
   // length) so probes in alignment deserts actually come back absent, short
   // enough that a probe is much cheaper than the L-lambda starts it kills.
   const std::int64_t lambda = std::min<std::int64_t>(len - 1, 32);
-  const std::uint32_t exit_depth = static_cast<std::uint32_t>(lambda / 2);
+  ProbeGate gate(policy(), L, static_cast<std::uint32_t>(lambda),
+                 ref_->size());
+  std::uint64_t steps = 0, jumps = 0, probes = 0, absent = 0, killed = 0;
+  bool skip = lazy_skip_;
 
-  std::int64_t f = n - len;  // highest unresolved window start
+  std::int64_t f = n - len;
+  bool probe = gate.probe_cold();
   while (f >= 0) {
-    // Probe query[f .. f+lambda).
-    index::SaInterval iv = fm_->all_rows();
-    bool absent = false;
-    for (std::int64_t p = f + lambda; p-- > f;) {
-      const index::SaInterval grown =
-          fm_->extend(iv, query.base(static_cast<std::uint32_t>(p)));
-      if (grown.empty()) {
-        absent = true;
-        break;
+    if (probe) {
+      // Probe query[f .. f+lambda).
+      index::SaInterval iv = fm_->all_rows();
+      bool gone = false;
+      const std::uint64_t before = steps;
+      for (std::int64_t p = f + lambda; p-- > f;) {
+        ++steps;
+        const index::SaInterval grown =
+            fm_->extend(iv, query.base(static_cast<std::uint32_t>(p)));
+        if (grown.empty()) {
+          gone = true;
+          break;
+        }
+        iv = grown;
       }
-      iv = grown;
-    }
-    if (absent) {
-      f = f + lambda - len - 1;  // dead: [f+lambda-L, f]
-      continue;
+      ++probes;
+      gate.record(gone, steps - before);
+      if (gone) {
+        ++absent;
+        killed += static_cast<std::uint64_t>(std::min(len - lambda + 1, f + 1));
+        f = f + lambda - len - 1;  // dead: [f+lambda-L, f]
+        probe = gate.probe_cold();
+        continue;
+      }
     }
 
-    // Capped matching-statistics sweep, cold start at R0 = f + L.
-    const std::int64_t r0 = f + len;
-    iv = fm_->all_rows();
+    // The recurrence, cold at R0 = f + L.
+    index::SaInterval iv = fm_->all_rows();
     std::uint32_t m = 0;
-    std::int64_t x = r0;
-    bool jumped = false;
+    std::int64_t x = f + len;
+    probe = false;
     while (x-- > 0) {
       const std::uint8_t c = query.base(static_cast<std::uint32_t>(x));
       for (;;) {
+        ++steps;
         const index::SaInterval grown = fm_->extend(iv, c);
         if (!grown.empty()) {
           iv = grown;
@@ -190,32 +259,38 @@ void SlaMemFinder::find_lazy(const seq::Sequence& query, std::uint32_t L,
           iv = fm_->all_rows();
           break;
         }
+        // Parent jump: widen to the deepest branching depth below m.
+        ++jumps;
         const std::uint32_t parent_depth =
             std::max(fm_->lcp_at(iv.lo), fm_->lcp_at(iv.hi));
         m = std::min(m - 1, parent_depth);
         iv = fm_->widen(iv, m);
         if (m == 0) iv = fm_->all_rows();
       }
-      // m = min(MS[x], R0-x), so m >= L implies x <= f: re-confirming an
-      // already-resolved start is impossible.
-      if (m >= L) confirmed.push_back({iv, static_cast<std::uint32_t>(x)});
-      if (x <= f && m < exit_depth) {
-        // Below f with exact MS[x] = m: query[x .. x+m+1) is absent, which
-        // kills every start in [x+m+1-L, x].
-        f = x + static_cast<std::int64_t>(m) - len;
-        jumped = true;
+      if (m >= L) {
+        if (skip) {
+          skip = false;
+        } else {
+          emit_rows(iv, query, static_cast<std::uint32_t>(x), L, out, work);
+        }
+      }
+      if (x <= f && m < gate.leave_below()) {
+        // Exact MS[x] = m: query[x .. x+m+1) is absent.
+        const std::int64_t next = x + static_cast<std::int64_t>(m) - len;
+        killed += static_cast<std::uint64_t>(
+            x - std::max<std::int64_t>(next + 1, 0));
+        f = next;
+        probe = true;
         break;
       }
     }
-    if (!jumped) break;  // swept down to position 0: everything resolved
+    if (!probe) break;  // swept down to position 0: everything resolved
   }
-
-  // Deferred resolution: widen each survivor to its depth-L interval and
-  // locate the rows — the only lcp_at/locate work the lazy sweep does.
-  std::size_t first = (lazy_skip_ && !confirmed.empty()) ? 1 : 0;
-  for (std::size_t i = first; i < confirmed.size(); ++i) {
-    emit_rows(confirmed[i].iv, query, confirmed[i].j, L, out, work);
-  }
+  work.backward_steps = steps;
+  work.parent_jumps = jumps;
+  work.probes = probes;
+  work.probes_absent = absent;
+  work.starts_killed = killed;
 }
 
 }  // namespace gm::mem

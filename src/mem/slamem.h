@@ -9,20 +9,27 @@
 // On inputs without invalid bases every located row then is a MEM
 // (last_find_work() counts the rows visited and the rows located).
 //
-// Two sweep modes over the same index:
-//   - eager (default): full matching statistics at every query position —
-//     every parent jump pays lcp_at/widen even when the window can never
-//     reach length L.
-//   - lazy (FinderOptions::lazy_lcp): long-MEM mode in the spirit of the
-//     lazy/thresholded matching-statistics line of work (arXiv 2403.02008,
-//     2311.04538). Only the L-thresholded matching statistics are needed,
-//     and any substring absent from the reference certifies a whole block
-//     of dead window starts, so the sweep alternates short absence probes
-//     (jumping up to L-probe starts at a time) with bounded eager bursts
-//     where probes come back present; lcp_at/widen/locate are
-//     batch-deferred to windows already proven to reach depth >= L.
-//     Output is bit-identical to eager; cost becomes sublinear in |query|
-//     as L grows (see PERFORMANCE.md "Long-MEM mode").
+// One right-to-left sweep over the index, with one variable: the probe
+// policy. A MEM of length >= L starts at j iff MS[j] >= L, so only the
+// L-thresholded matching statistics matter, and any substring absent from
+// the reference certifies a whole block of dead window starts at once (the
+// thresholded-matching-statistics argument of arXiv 2403.02008 and
+// 2311.04538). At each frontier — the highest unresolved window start —
+// the policy either continues the matching-statistics recurrence or
+// backward-searches a lambda-long probe there, whose absence kills
+// L-lambda+1 starts; a present probe restarts the recurrence cold at the
+// frontier plus L. Windows reaching depth L are located as soon as the
+// recurrence confirms them. Three policies, bit-identical output:
+//   - Probe::kWhenItPays (default; registry and CLI `slamem`, perfbench's
+//     `slamem_s`): probes only where the expected saving in FM operations
+//     beats the expected loss, judged from L, lambda, |R| and the outcomes
+//     of the find's own probes — never from which input it is.
+//   - Probe::kAlways (SlaMemFinder(true), FinderOptions::lazy_lcp, registry
+//     and CLI `slamem-lazy`, serve's long-MEM route, perfbench's
+//     `slamem_lazy_s`): probes at every frontier.
+//   - Probe::kNever: the plain matching-statistics sweep, selected from
+//     code only — the eager reference of tests and bench_longmem.
+// See PERFORMANCE.md "Long-MEM mode" for the measured curve.
 #pragma once
 
 #include <memory>
@@ -34,10 +41,16 @@ namespace gm::mem {
 
 class SlaMemFinder final : public MemFinder {
  public:
+  /// When the sweep backward-searches an absence probe (file comment).
+  enum class Probe { kNever, kWhenItPays, kAlways };
+
   SlaMemFinder() = default;
-  /// force_lazy pre-selects the lazy sweep regardless of
+  /// force_lazy pre-selects Probe::kAlways regardless of
   /// FinderOptions::lazy_lcp — the registry's "slamem-lazy" name.
-  explicit SlaMemFinder(bool force_lazy) : force_lazy_(force_lazy) {}
+  explicit SlaMemFinder(bool force_lazy)
+      : policy_(force_lazy ? Probe::kAlways : Probe::kWhenItPays) {}
+  /// Any policy; Probe::kNever is the eager reference.
+  explicit SlaMemFinder(Probe policy) : policy_(policy) {}
 
   std::string name() const override {
     return lazy() ? "slamem-lazy" : "slamem";
@@ -65,29 +78,45 @@ class SlaMemFinder final : public MemFinder {
 
   /// Exact work of the last find: rows of the depth-L intervals the sweep
   /// visited, and the rows it passed to FmIndex::locate — only those whose
-  /// BWT character differs from the query base left of the window.
+  /// BWT character differs from the query base left of the window; the
+  /// FmIndex::extend calls (backward steps, probes included) and parent
+  /// jumps (lcp_at + widen) it made; the probes it issued and how many came
+  /// back absent; and the window starts absence certificates killed — by
+  /// absent probes and by the recurrence's own depth drops past the
+  /// frontier. Exported as the mem.slamem.* counters while the obs
+  /// registry is on (docs/OBSERVABILITY.md).
   struct Work {
     std::uint64_t rows_visited = 0;
     std::uint64_t rows_located = 0;
+    std::uint64_t backward_steps = 0;
+    std::uint64_t parent_jumps = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t probes_absent = 0;
+    std::uint64_t starts_killed = 0;
+    bool operator==(const Work&) const = default;
   };
   Work last_find_work() const { return last_work_; }
 
   std::size_t index_bytes() const override { return fm_ ? fm_->bytes() : 0; }
 
-  /// Fuzz-oracle hook: when on, the lazy sweep drops its first confirmed
-  /// window before the deferred widen/locate pass — simulating a skipped
-  /// survivor so the differential oracle can prove it catches one
-  /// (Fault::kLazySkipConfirmed).
+  /// Fuzz-oracle hook: when on, the sweep skips emitting the first window
+  /// it confirms — simulating a lost survivor so the differential oracle
+  /// can prove it catches one (Fault::kLazySkipConfirmed).
   void inject_lazy_skip(bool on) { lazy_skip_ = on; }
 
-  /// True when find() runs the lazy long-MEM sweep.
-  bool lazy() const { return force_lazy_ || opt_.lazy_lcp; }
+  /// The policy find() runs: FinderOptions::lazy_lcp upgrades the default
+  /// to Probe::kAlways.
+  Probe policy() const {
+    return policy_ == Probe::kWhenItPays && opt_.lazy_lcp ? Probe::kAlways
+                                                          : policy_;
+  }
+
+  /// True when find() probes at every frontier (the "slamem-lazy" finder).
+  bool lazy() const { return policy() == Probe::kAlways; }
 
  private:
-  void find_eager(const seq::Sequence& query, std::uint32_t L,
-                  std::vector<Mem>& out, Work& work) const;
-  void find_lazy(const seq::Sequence& query, std::uint32_t L,
-                 std::vector<Mem>& out, Work& work) const;
+  void sweep(const seq::Sequence& query, std::uint32_t L,
+             std::vector<Mem>& out, Work& work) const;
   void emit_rows(index::SaInterval iv, const seq::Sequence& query,
                  std::uint32_t j, std::uint32_t L, std::vector<Mem>& out,
                  Work& work) const;
@@ -95,7 +124,7 @@ class SlaMemFinder final : public MemFinder {
   const seq::Sequence* ref_ = nullptr;
   FinderOptions opt_;
   std::unique_ptr<index::FmIndex> fm_;
-  bool force_lazy_ = false;
+  Probe policy_ = Probe::kWhenItPays;
   bool lazy_skip_ = false;
   mutable double last_seconds_ = 0.0;
   mutable Work last_work_;

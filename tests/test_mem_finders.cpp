@@ -7,6 +7,7 @@
 #include <cctype>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "core/finders.h"
 #include "mem/common.h"
@@ -15,9 +16,11 @@
 #include "mem/mummer.h"
 #include "mem/naive.h"
 #include "mem/registry.h"
+#include "mem/sharded_find.h"
 #include "mem/slamem.h"
 #include "mem/sparsemem.h"
 #include "mem/validate.h"
+#include "obs/registry.h"
 #include "seq/synthetic.h"
 #include "util/rng.h"
 
@@ -403,6 +406,13 @@ TEST(SampledFinders, ShardedFindMatchesOneShard) {
     one->build_index(base, opt);
     const auto truth = one->find(query);
     ASSERT_FALSE(truth.empty()) << name;
+    // The query is long enough that threads >= 2 really splits it.
+    std::size_t probes = query.size() - (opt.min_length - opt.sparseness);
+    if (const auto* cop = dynamic_cast<const mem::CopMemFinder*>(one.get())) {
+      probes = (query.size() - cop->params().seed_len) / cop->params().k2 + 1;
+    }
+    EXPECT_GE(mem::shard_count(probes, 2), 2u) << name;
+    EXPECT_GE(mem::shard_count(probes, 5), 3u) << name;
     for (const std::uint32_t threads : {1u, 2u, 5u}) {
       for (const bool sequential : {false, true}) {
         mem::FinderOptions sharded = opt;
@@ -415,6 +425,34 @@ TEST(SampledFinders, ShardedFindMatchesOneShard) {
       }
     }
   }
+}
+
+TEST(SampledFinders, ShortQueryRunsOneShardInline) {
+  // A find is split only as far as its probes pay for the pool round trips
+  // (mem::kProbesPerShard): a read-sized query at threads 4 runs one shard,
+  // on the calling thread.
+  const auto ref = random_seq(2000, 97);
+  seq::Sequence read;
+  read.append(ref, 500, 150);
+  mem::FinderOptions opt;
+  opt.min_length = 30;
+  opt.threads = 4;
+  std::vector<std::thread::id> ran_on;
+  double seconds = 0;
+  const auto got = mem::find_sharded(
+      ref, read, opt, read.size(),
+      [&](std::size_t begin, std::size_t end, std::vector<Mem>&) {
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, read.size());
+        ran_on.push_back(std::this_thread::get_id());
+      },
+      seconds);
+  EXPECT_TRUE(got.empty());
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_EQ(mem::shard_count(0, 4), 1u);
+  EXPECT_EQ(mem::shard_count(mem::kProbesPerShard + 1, 4), 2u);
+  EXPECT_EQ(mem::shard_count(100 * mem::kProbesPerShard, 4), 4u);
 }
 
 TEST(CopMem, InjectedCandidateDropLosesExactlyOneMem) {
@@ -591,17 +629,21 @@ TEST(SlaMem, LazyMatchesEagerOnBoundaryCases) {
   const auto R = random_seq(400, 71);
   mem::FinderOptions opt;
   opt.min_length = 5;
-  mem::SlaMemFinder eager;
+  mem::SlaMemFinder eager(mem::SlaMemFinder::Probe::kNever);
   eager.build_index(R, opt);
   mem::SlaMemFinder lazy(/*force_lazy=*/true);
   lazy.build_index(R, opt);
+  mem::SlaMemFinder sweep;  // the default policy
+  sweep.build_index(R, opt);
   ASSERT_FALSE(eager.lazy());
   ASSERT_TRUE(lazy.lazy());
+  ASSERT_EQ(sweep.policy(), mem::SlaMemFinder::Probe::kWhenItPays);
 
   // Query shorter than L: no window of length L exists.
   const auto tiny = random_seq(10, 72);
   EXPECT_TRUE(eager.find_at(tiny, 20).empty());
   EXPECT_TRUE(lazy.find_at(tiny, 20).empty());
+  EXPECT_TRUE(sweep.find_at(tiny, 20).empty());
 
   // L == 1: every matching position participates; modes agree bit-for-bit.
   seq::Sequence probe;
@@ -609,6 +651,7 @@ TEST(SlaMem, LazyMatchesEagerOnBoundaryCases) {
   const auto e1 = eager.find_at(probe, 1);
   EXPECT_FALSE(e1.empty());
   EXPECT_EQ(e1, lazy.find_at(probe, 1));
+  EXPECT_EQ(e1, sweep.find_at(probe, 1));
 
   // L larger than the reference: nothing can match, and neither mode may
   // throw or scan out of bounds.
@@ -616,11 +659,13 @@ TEST(SlaMem, LazyMatchesEagerOnBoundaryCases) {
   const auto over = static_cast<std::uint32_t>(R.size()) + 10;
   EXPECT_TRUE(eager.find_at(long_q, over).empty());
   EXPECT_TRUE(lazy.find_at(long_q, over).empty());
+  EXPECT_TRUE(sweep.find_at(long_q, over).empty());
 
   // All-N query: every window is clipped away in both modes.
   const auto all_n = seq::Sequence::from_string_lenient(std::string(64, 'N'));
   EXPECT_TRUE(eager.find_at(all_n, 20).empty());
   EXPECT_TRUE(lazy.find_at(all_n, 20).empty());
+  EXPECT_TRUE(sweep.find_at(all_n, 20).empty());
 
   // Depth exactly L at the last window start: |query| == L and the window
   // occurs verbatim, so MS[0] == L with no slack on either side.
@@ -629,44 +674,58 @@ TEST(SlaMem, LazyMatchesEagerOnBoundaryCases) {
   const auto ee = eager.find_at(exact, 32);
   const auto le = lazy.find_at(exact, 32);
   EXPECT_EQ(ee, le);
+  EXPECT_EQ(ee, sweep.find_at(exact, 32));
   ASSERT_FALSE(ee.empty());
   bool pinned = false;
   for (const Mem& m : ee) pinned |= (m.r == 37 && m.q == 0 && m.len == 32);
   EXPECT_TRUE(pinned);
 }
 
+/// A 3000 bp random reference and a copy with a point mutation every
+/// 10-40 bases: long shared stretches at low L, alignment deserts at high L.
+std::pair<seq::Sequence, seq::Sequence> mutated_pair(std::uint64_t seed) {
+  auto R = random_seq(3000, seed);
+  util::Xoshiro256 rng(seed + 1000);
+  std::vector<std::uint8_t> codes(R.size());
+  for (std::size_t i = 0; i < R.size(); ++i) codes[i] = R.base(i);
+  for (std::size_t i = 0; i < codes.size(); i += 10 + rng.bounded(30)) {
+    codes[i] = static_cast<std::uint8_t>((codes[i] + 1 + rng.bounded(3)) & 3);
+  }
+  return {std::move(R), seq::Sequence::from_codes(codes)};
+}
+
 TEST(SlaMem, LazyMatchesEagerOnMutatedPairs) {
   // Bit-identity property across the L ladder on reference/query pairs in
-  // the lazy sweep's target regime: point mutations every ~25 bases leave
-  // long shared stretches at low L and alignment deserts at high L. Both
-  // modes visit the same depth-L intervals and locate only their
-  // left-maximal rows. Such a row always extends >= L, and without invalid
-  // bases clipping is the identity and each (r, j) is emitted once, so rows
+  // the lazy sweep's target regime (mutated_pair). All three policies
+  // visit the same depth-L intervals and locate only their left-maximal
+  // rows. Such a row always extends >= L, and without invalid bases
+  // clipping is the identity and each (r, j) is emitted once, so rows
   // located == raw candidates == MEMs.
   for (const std::uint64_t seed : {81u, 82u, 83u}) {
-    const auto R = random_seq(3000, seed);
-    util::Xoshiro256 rng(seed + 1000);
-    std::vector<std::uint8_t> codes(R.size());
-    for (std::size_t i = 0; i < R.size(); ++i) codes[i] = R.base(i);
-    for (std::size_t i = 0; i < codes.size(); i += 10 + rng.bounded(30)) {
-      codes[i] = static_cast<std::uint8_t>((codes[i] + 1 + rng.bounded(3)) & 3);
-    }
-    const auto Q = seq::Sequence::from_codes(codes);
+    const auto [R, Q] = mutated_pair(seed);
     mem::FinderOptions opt;
     opt.min_length = 10;
-    mem::SlaMemFinder eager;
+    mem::SlaMemFinder eager(mem::SlaMemFinder::Probe::kNever);
     eager.build_index(R, opt);
     mem::SlaMemFinder lazy(/*force_lazy=*/true);
     lazy.build_index(R, opt);
+    mem::SlaMemFinder sweep;  // the default policy
+    sweep.build_index(R, opt);
     for (const std::uint32_t L : {10u, 20u, 40u, 80u, 160u}) {
       const auto e = eager.find_at(Q, L);
       const auto l = lazy.find_at(Q, L);
+      const auto d = sweep.find_at(Q, L);
       EXPECT_EQ(e, l) << "seed=" << seed << " L=" << L;
+      EXPECT_EQ(e, d) << "seed=" << seed << " L=" << L;
       const auto ew = eager.last_find_work();
       const auto lw = lazy.last_find_work();
+      const auto dw = sweep.last_find_work();
       EXPECT_EQ(ew.rows_located, e.size()) << "seed=" << seed << " L=" << L;
       EXPECT_EQ(lw.rows_located, l.size()) << "seed=" << seed << " L=" << L;
+      EXPECT_EQ(dw.rows_located, d.size()) << "seed=" << seed << " L=" << L;
       EXPECT_EQ(ew.rows_visited, lw.rows_visited)
+          << "seed=" << seed << " L=" << L;
+      EXPECT_EQ(ew.rows_visited, dw.rows_visited)
           << "seed=" << seed << " L=" << L;
       if (L == 10) {
         EXPECT_FALSE(e.empty()) << "seed=" << seed;
@@ -678,7 +737,78 @@ TEST(SlaMem, LazyMatchesEagerOnMutatedPairs) {
   }
 }
 
-// Eager and lazy slaMEM against the naive oracle at one L; returns the truth.
+TEST(SlaMem, DefaultSweepProbesOnlyWhereItPays) {
+  // Work counts on the mutated-pair ladder. Where the default policy issues
+  // no probe it runs the eager recurrence itself, so its work equals the
+  // eager reference's field for field; at L <= 33 a probe kills at most 4
+  // starts and never pays. At L 160 deserts dominate: it probes, and its
+  // backward steps plus parent jumps fall below eager's.
+  for (const std::uint64_t seed : {81u, 82u, 83u}) {
+    const auto [R, Q] = mutated_pair(seed);
+    mem::FinderOptions opt;
+    opt.min_length = 10;
+    mem::SlaMemFinder eager(mem::SlaMemFinder::Probe::kNever);
+    eager.build_index(R, opt);
+    mem::SlaMemFinder sweep;
+    sweep.build_index(R, opt);
+    for (const std::uint32_t L : {10u, 20u, 30u, 40u, 80u, 160u}) {
+      EXPECT_EQ(eager.find_at(Q, L), sweep.find_at(Q, L))
+          << "seed=" << seed << " L=" << L;
+      const auto ew = eager.last_find_work();
+      const auto dw = sweep.last_find_work();
+      EXPECT_EQ(ew.probes, 0u);
+      EXPECT_EQ(ew.starts_killed, 0u);
+      EXPECT_GT(ew.backward_steps, 0u);
+      EXPECT_LE(dw.probes_absent, dw.probes);
+      EXPECT_LE(dw.starts_killed, Q.size() - L + 1);
+      if (L <= 33) {
+        EXPECT_EQ(dw.probes, 0u) << "seed=" << seed << " L=" << L;
+      }
+      if (dw.probes == 0) {
+        EXPECT_TRUE(dw == ew) << "seed=" << seed << " L=" << L;
+      }
+      if (L == 160) {
+        EXPECT_GT(dw.probes_absent, 0u) << "seed=" << seed;
+        EXPECT_GT(dw.starts_killed, 0u) << "seed=" << seed;
+        EXPECT_LT(dw.backward_steps + dw.parent_jumps,
+                  ew.backward_steps + ew.parent_jumps)
+            << "seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(SlaMem, WorkIsExportedAsObsCounters) {
+  // With the obs registry on, each find adds its Work to mem.slamem.*.
+  const auto [R, Q] = mutated_pair(84);
+  mem::FinderOptions opt;
+  opt.min_length = 80;
+  mem::SlaMemFinder f;
+  f.build_index(R, opt);
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  f.find(Q);
+  const auto w1 = f.last_find_work();
+  f.find(Q);
+  reg.set_enabled(false);
+  const auto w2 = f.last_find_work();
+  ASSERT_GT(w1.probes, 0u);
+  obs::Metrics& m = reg.metrics();
+  EXPECT_EQ(m.counter("mem.slamem.backward_steps").value(),
+            w1.backward_steps + w2.backward_steps);
+  EXPECT_EQ(m.counter("mem.slamem.parent_jumps").value(),
+            w1.parent_jumps + w2.parent_jumps);
+  EXPECT_EQ(m.counter("mem.slamem.probes").value(), w1.probes + w2.probes);
+  EXPECT_EQ(m.counter("mem.slamem.probes_absent").value(),
+            w1.probes_absent + w2.probes_absent);
+  EXPECT_EQ(m.counter("mem.slamem.starts_killed").value(),
+            w1.starts_killed + w2.starts_killed);
+  reg.reset();
+}
+
+// slaMEM under every probe policy against the naive oracle at one L;
+// returns the truth.
 std::vector<Mem> expect_slamem_is_naive(const seq::Sequence& R,
                                         const seq::Sequence& Q,
                                         std::uint32_t L,
@@ -686,10 +816,13 @@ std::vector<Mem> expect_slamem_is_naive(const seq::Sequence& R,
   const auto truth = mem::find_mems_naive(R, Q, L);
   mem::FinderOptions opt;
   opt.min_length = L;
-  for (const bool lazy : {false, true}) {
-    mem::SlaMemFinder f(lazy);
+  using Probe = mem::SlaMemFinder::Probe;
+  for (const Probe policy :
+       {Probe::kNever, Probe::kWhenItPays, Probe::kAlways}) {
+    mem::SlaMemFinder f(policy);
     f.build_index(R, opt);
-    EXPECT_EQ(f.find(Q), truth) << what << (lazy ? " lazy" : " eager");
+    EXPECT_EQ(f.find(Q), truth)
+        << what << " policy " << static_cast<int>(policy);
   }
   return truth;
 }
