@@ -206,7 +206,9 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
   // The default slaMEM sweep probes for absence only where probes pay,
   // which the sampled L rarely reaches. When it issued none, it also runs
   // at kProbedL, where a 32-long probe kills 9 starts and the first
-  // frontier always probes, against the truth at that length.
+  // frontier always probes, against the truth at that length; a find there
+  // that issues no probe is itself a divergence, so this lane cannot
+  // silently fall back to checking the eager recurrence alone.
   try {
     constexpr std::uint32_t kProbedL = 40;
     mem::SlaMemFinder slamem;
@@ -218,6 +220,10 @@ CaseResult run_case(const FuzzCase& c, Fault fault) {
       std::erase_if(want, [](const mem::Mem& m) { return m.len < kProbedL; });
       check_output("slamem", want, slamem.find_at(query, kProbedL), ref,
                    query, kProbedL, out);
+      if (slamem.last_find_work().probes == 0) {
+        out.divergences.push_back(
+            {"slamem", "error", "default sweep issued no probe at L 40"});
+      }
     }
   } catch (const std::exception& e) {
     out.divergences.push_back({"slamem", "error", e.what()});

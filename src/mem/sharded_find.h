@@ -19,12 +19,17 @@ namespace gm::mem {
 using ProbeFn = std::function<void(std::size_t begin, std::size_t end,
                                    std::vector<Mem>& out)>;
 
-/// Probes one shard must carry before the find splits off another. A pool
-/// round trip costs ~4-7 us per extra shard (a 150 bp copMEM find at L 30
-/// reads 1.7 us in one shard, 8.4 us in two and 13.7 us in four), and a
-/// copMEM probe, the cheapest of the three, ~0.11 us: 256 probes are ~28 us
-/// of copMEM work and ~120 us of sparseMEM work, several dispatches' worth.
-/// Every read up to ~256 bp thus runs as one shard.
+/// Probes one shard must carry before the find splits off another, set
+/// from sparseMEM and essaMEM, whose probes cost ~0.4-0.6 us. A pool round
+/// trip costs ~4-7 us per extra shard. At L 30 (chrXc_s/chrXh_s, scale 4,
+/// sparseness 4, 4-worker pool, two runs on a shared 4-core host) a 300 bp
+/// query (~274 probes) in two shards read 0.64-1.03x the one-shard time of
+/// sparseMEM and 0.76-1.00x of essaMEM, and four shards gained 1.7-2.6x
+/// from 1.2 kbp on, so every read up to ~256 probes runs as one shard and
+/// a second shard costs at most a few percent where it starts. For copMEM
+/// the constant is knowingly too low: its probes are several times
+/// cheaper, and a split copMEM find read 0.8-1.3x the one-shard time at
+/// 1.2-2.4 kbp (CHANGES.md, FOUND on copMEM sharding).
 inline constexpr std::size_t kProbesPerShard = 256;
 
 /// min(max(1, threads), ceil(probes / kProbesPerShard)), and at least 1.

@@ -90,89 +90,20 @@ void SlaMemFinder::emit_rows(index::SaInterval iv, const seq::Sequence& query,
 
 namespace {
 
-/// Where the sweep probes. The recurrence leaves to probe at a depth drop
-/// below leave_below() past the frontier, and after an absent probe the
-/// sweep probes again iff probe_cold(); both are fixed by the policy, or —
-/// for Probe::kWhenItPays — re-derived after every probe outcome, so the
-/// recurrence's exit test costs one compare whatever the policy.
-class ProbeGate {
- public:
-  ProbeGate(SlaMemFinder::Probe policy, std::uint32_t len, std::uint32_t lambda,
-            std::size_t ref_size)
-      : policy_(policy),
-        len_(len),
-        lambda_(lambda),
-        // A random string is absent once it outgrows ~log4 |R| characters.
-        prior_absent_steps_(
-            std::log2(static_cast<double>(ref_size) + 2) / 2 + 2) {
-    decide();
-  }
+// Backward steps plus parent jumps per start of the eager recurrence where
+// the depth stays low (the unrelated Table-II pair dmel_s/ecoli_s: 1.84
+// steps + 0.84 jumps per start).
+constexpr double kOpsPerStart = 2.7;
 
-  bool probe_cold() const { return probe_cold_; }
-  std::uint32_t leave_below() const { return leave_below_; }
-
-  void record(bool absent, std::uint64_t steps) {
-    if (policy_ != SlaMemFinder::Probe::kWhenItPays) return;
-    ++issued_;
-    if (absent) {
-      ++absent_;
-      absent_steps_ += steps;
-    }
-    decide();
-  }
-
- private:
-  // Break-even in FM operations (backward steps + parent jumps). Each start
-  // the recurrence resolves costs kOpsPerStart; an absent probe costs its
-  // observed mean steps a and kills L-lambda+1 starts; a present one costs
-  // lambda steps and a cold restart. p is the share of the find's probes
-  // that came back absent, with one absent pseudo-probe as prior.
-  void decide() {
-    const std::uint32_t exit_depth = lambda_ / 2;
-    if (policy_ != SlaMemFinder::Probe::kWhenItPays) {
-      const bool always = policy_ == SlaMemFinder::Probe::kAlways;
-      probe_cold_ = always;
-      leave_below_ = always ? exit_depth : 0;
-      return;
-    }
-    const double e = kOpsPerStart;
-    const double L = len_;
-    const double lambda = lambda_;
-    const double p = (absent_ + 1.0) / (issued_ + 1.0);
-    const double a = (absent_steps_ + prior_absent_steps_) / (absent_ + 1.0);
-    const double gain = (L - lambda + 1) * e - a;  // of one absent probe
-    // Cold at a frontier: probe on, or restart at the frontier plus L.
-    probe_cold_ = p * gain > (1 - p) * lambda;
-    // Extra cost of being cold rather than warm there: the restart's L
-    // repeated starts, less what probing on saves.
-    const double restart = L * e;
-    const double cold =
-        !probe_cold_ ? restart
-        : p >= 1     ? 0.0
-                     : std::clamp(lambda + restart - p / (1 - p) * gain, 0.0,
-                                  restart);
-    // Warm at depth m: probing also takes the free certificate's L-m
-    // starts, and a present probe repeats m starts in its restart. It pays
-    // iff p * ((L-m)e + gain - cold) > (1-p) * (lambda + m e), that is iff
-    // m e < p * (restart + gain - cold) - (1-p) * lambda.
-    const double bound = (p * (restart + gain - cold) - (1 - p) * lambda) / e;
-    leave_below_ = bound <= 0 ? 0
-                              : static_cast<std::uint32_t>(std::min<double>(
-                                    exit_depth, std::ceil(bound)));
-  }
-
-  // Backward steps plus parent jumps per start of the eager recurrence
-  // where the depth stays low (the unrelated Table-II pair dmel_s/ecoli_s:
-  // 1.84 steps + 0.84 jumps per start).
-  static constexpr double kOpsPerStart = 2.7;
-
-  SlaMemFinder::Probe policy_;
-  std::uint32_t len_, lambda_;
-  double prior_absent_steps_;
-  double issued_ = 0, absent_ = 0, absent_steps_ = 0;
-  bool probe_cold_ = false;
-  std::uint32_t leave_below_ = 0;
-};
+/// Whether the default policy probes, fixed once per find. An absent probe
+/// saves the L-lambda+1 starts it kills, kOpsPerStart FM operations each,
+/// and costs about log4 |R| + 2 backward steps: a random string is absent
+/// once it outgrows ~log4 |R| characters.
+bool probe_pays(std::int64_t len, std::int64_t lambda, std::size_t ref_size) {
+  const double absent_steps =
+      std::log2(static_cast<double>(ref_size) + 2) / 2 + 2;
+  return static_cast<double>(len - lambda + 1) * kOpsPerStart > absent_steps;
+}
 
 }  // namespace
 
@@ -196,8 +127,9 @@ void SlaMemFinder::sweep(const seq::Sequence& query, std::uint32_t L,
   //  - a probe backward-searches query[f .. f+lambda); absent, it kills
   //    [f+lambda-L, f] for at most lambda steps.
   // The recurrence leaves at a depth drop below lambda/2 only to probe, and
-  // a present probe restarts it cold at f+L. The policy decides where:
-  // never (eager), always (lazy), or when it pays (ProbeGate).
+  // a present probe restarts it cold at f+L. The policy decides whether
+  // the find probes at all: never (eager), always (lazy), or when an absent
+  // probe saves more FM operations than it costs (probe_pays).
   const std::int64_t n = static_cast<std::int64_t>(query.size());
   const std::int64_t len = static_cast<std::int64_t>(L);
   if (n < len) return;  // no window of length L exists
@@ -206,19 +138,22 @@ void SlaMemFinder::sweep(const seq::Sequence& query, std::uint32_t L,
   // length) so probes in alignment deserts actually come back absent, short
   // enough that a probe is much cheaper than the L-lambda starts it kills.
   const std::int64_t lambda = std::min<std::int64_t>(len - 1, 32);
-  ProbeGate gate(policy(), L, static_cast<std::uint32_t>(lambda),
-                 ref_->size());
+  const Probe mode = policy();
+  const bool probing =
+      mode == Probe::kAlways ||
+      (mode == Probe::kWhenItPays && probe_pays(len, lambda, ref_->size()));
+  const std::uint32_t leave_below =
+      probing ? static_cast<std::uint32_t>(lambda / 2) : 0;
   std::uint64_t steps = 0, jumps = 0, probes = 0, absent = 0, killed = 0;
   bool skip = lazy_skip_;
 
   std::int64_t f = n - len;
-  bool probe = gate.probe_cold();
+  bool probe = probing;
   while (f >= 0) {
     if (probe) {
       // Probe query[f .. f+lambda).
       index::SaInterval iv = fm_->all_rows();
       bool gone = false;
-      const std::uint64_t before = steps;
       for (std::int64_t p = f + lambda; p-- > f;) {
         ++steps;
         const index::SaInterval grown =
@@ -230,12 +165,10 @@ void SlaMemFinder::sweep(const seq::Sequence& query, std::uint32_t L,
         iv = grown;
       }
       ++probes;
-      gate.record(gone, steps - before);
       if (gone) {
         ++absent;
         killed += static_cast<std::uint64_t>(std::min(len - lambda + 1, f + 1));
         f = f + lambda - len - 1;  // dead: [f+lambda-L, f]
-        probe = gate.probe_cold();
         continue;
       }
     }
@@ -274,7 +207,7 @@ void SlaMemFinder::sweep(const seq::Sequence& query, std::uint32_t L,
           emit_rows(iv, query, static_cast<std::uint32_t>(x), L, out, work);
         }
       }
-      if (x <= f && m < gate.leave_below()) {
+      if (x <= f && m < leave_below) {
         // Exact MS[x] = m: query[x .. x+m+1) is absent.
         const std::int64_t next = x + static_cast<std::int64_t>(m) - len;
         killed += static_cast<std::uint64_t>(

@@ -21,9 +21,11 @@
 // frontier plus L. Windows reaching depth L are located as soon as the
 // recurrence confirms them. Three policies, bit-identical output:
 //   - Probe::kWhenItPays (default; registry and CLI `slamem`, perfbench's
-//     `slamem_s`): probes only where the expected saving in FM operations
-//     beats the expected loss, judged from L, lambda, |R| and the outcomes
-//     of the find's own probes — never from which input it is.
+//     `slamem_s`): fixed once per find from L, lambda and |R|, never from
+//     which input it is — it probes at every frontier when an absent probe
+//     saves more FM operations than it costs, and never otherwise. On any
+//     reference over ~110 bp it is the eager recurrence at L <= 33; it
+//     probes from L 36 on below ~8 Mbp and from L 38 on below ~15 Gbp.
 //   - Probe::kAlways (SlaMemFinder(true), FinderOptions::lazy_lcp, registry
 //     and CLI `slamem-lazy`, serve's long-MEM route, perfbench's
 //     `slamem_lazy_s`): probes at every frontier.

@@ -740,21 +740,27 @@ TEST(SlaMem, LazyMatchesEagerOnMutatedPairs) {
 TEST(SlaMem, DefaultSweepProbesOnlyWhereItPays) {
   // Work counts on the mutated-pair ladder. Where the default policy issues
   // no probe it runs the eager recurrence itself, so its work equals the
-  // eager reference's field for field; at L <= 33 a probe kills at most 4
-  // starts and never pays. At L 160 deserts dominate: it probes, and its
-  // backward steps plus parent jumps fall below eager's.
+  // eager reference's field for field; at L <= 33 a probe kills 2 starts
+  // and never pays. Where it probes, the choice was made once for the whole
+  // find, so its work equals the always-probing finder's. At L 160 deserts
+  // dominate: it probes, and its backward steps plus parent jumps fall
+  // below eager's.
   for (const std::uint64_t seed : {81u, 82u, 83u}) {
     const auto [R, Q] = mutated_pair(seed);
     mem::FinderOptions opt;
     opt.min_length = 10;
     mem::SlaMemFinder eager(mem::SlaMemFinder::Probe::kNever);
     eager.build_index(R, opt);
+    mem::SlaMemFinder lazy(/*force_lazy=*/true);
+    lazy.build_index(R, opt);
     mem::SlaMemFinder sweep;
     sweep.build_index(R, opt);
     for (const std::uint32_t L : {10u, 20u, 30u, 40u, 80u, 160u}) {
       EXPECT_EQ(eager.find_at(Q, L), sweep.find_at(Q, L))
           << "seed=" << seed << " L=" << L;
+      lazy.find_at(Q, L);
       const auto ew = eager.last_find_work();
+      const auto lw = lazy.last_find_work();
       const auto dw = sweep.last_find_work();
       EXPECT_EQ(ew.probes, 0u);
       EXPECT_EQ(ew.starts_killed, 0u);
@@ -766,6 +772,8 @@ TEST(SlaMem, DefaultSweepProbesOnlyWhereItPays) {
       }
       if (dw.probes == 0) {
         EXPECT_TRUE(dw == ew) << "seed=" << seed << " L=" << L;
+      } else {
+        EXPECT_TRUE(dw == lw) << "seed=" << seed << " L=" << L;
       }
       if (L == 160) {
         EXPECT_GT(dw.probes_absent, 0u) << "seed=" << seed;
